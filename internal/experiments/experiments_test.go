@@ -40,6 +40,19 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestCDFNotesHaveNoDoubledPercent renders the CDF figures from zero
+// values: their paper notes pass through AddNote("%s", ...), so a "%%"
+// written there would print literally.
+func TestCDFNotesHaveNoDoubledPercent(t *testing.T) {
+	for _, tab := range []Table{Fig8Result{}.Table(), Fig8CResult{}.Table(), Fig9Result{}.Table()} {
+		for _, line := range append([]string{tab.Title}, tab.Notes...) {
+			if strings.Contains(line, "%%") {
+				t.Errorf("%s: literal %%%% in %q", tab.Title, line)
+			}
+		}
+	}
+}
+
 func TestFig1TimeoutSensitivity(t *testing.T) {
 	r := Fig1(lab())
 	if len(r.Settings) != 3 {

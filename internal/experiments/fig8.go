@@ -139,7 +139,7 @@ func cdfTable(title string, series []CDFSeries, paperNote string) Table {
 
 // Table renders Figure 8A/8B.
 func (r Fig8Result) Table() Table {
-	note := "paper (Hybrid): median <5%% for K-means/Stream/Jacobi/Leuk, <10%% for all workloads"
+	note := "paper (Hybrid): median <5% for K-means/Stream/Jacobi/Leuk, <10% for all workloads"
 	if r.Model == "ANN" {
 		note = "paper (ANN): higher error than Hybrid on every workload; best on low-variance kernels"
 	}
@@ -150,7 +150,7 @@ func (r Fig8Result) Table() Table {
 // Table renders Figure 8C.
 func (r Fig8CResult) Table() Table {
 	t := cdfTable("Figure 8C — hybrid error CDF across sprinting hardware (Jacobi)", r.Series,
-		"paper: DVFS/EC2DVFS median <4%%; CoreScale 8%% median, fixed by denser sampling")
+		"paper: DVFS/EC2DVFS median <4%; CoreScale 8% median, fixed by denser sampling")
 	t.AddNote("CoreScale with 60%%/85%% centroids and 90/10 split: median %s (paper: below 5%%)",
 		pct(r.CoreScaleDenseMedian))
 	return t

@@ -50,7 +50,7 @@ func Fig9(lab *Lab) (Fig9Result, error) {
 // Table renders the mix-error CDFs.
 func (r Fig9Result) Table() Table {
 	t := cdfTable("Figure 9 — prediction-error CDF for mixed workloads (Pareto arrivals)", r.Series,
-		"paper: Mix I median 7%% (75%% of predictions <15%%); Mix II median 10%% (60%% <15%%)")
+		"paper: Mix I median 7% (75% of predictions <15%); Mix II median 10% (60% <15%)")
 	for _, s := range r.Series {
 		t.AddNote("%s: %s of predictions below 15%% error", s.Label, pct(s.FracBelow(0.15)))
 	}

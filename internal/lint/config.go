@@ -52,6 +52,8 @@ func DefaultConfig() *Config {
 			"internal/queuesim/dispatch",
 			"internal/sim",
 			"internal/forest",
+			// The ANN baseline's trained weights are pinned bit for bit.
+			"internal/ann",
 			"internal/dist",
 			"internal/calib",
 			"internal/explore",
