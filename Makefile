@@ -174,6 +174,16 @@ bench-sweep:
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchmem ./internal/server/
 
+# loc prints two size figures, for tracking rather than gating: the
+# non-test Go lines in the module (the benchmark harness and its build
+# directory excluded), then the byte size of a fresh sprintctl binary.
+.PHONY: loc
+loc:
+	@find . \( -path ./.git -o -path ./perfbench -o -path ./.bench_build \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -type f -print | xargs cat | wc -l
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+		$(GO) build -o "$$tmp/sprintctl" ./cmd/sprintctl && wc -c < "$$tmp/sprintctl"
+
 .PHONY: bench
 bench:
 	$(GO) test -bench=. -benchmem .

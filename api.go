@@ -8,6 +8,7 @@ package mdsprint
 // get everything they need from here.
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -187,7 +188,8 @@ func TrainHybrid(ds *Dataset, opts ModelOptions) (Model, error) {
 	if train == nil {
 		train = ds.Observations
 	}
-	return core.TrainHybrid(
+	return core.TrainHybridCtx(
+		context.Background(),
 		[]core.TrainingSet{{Dataset: ds, Observations: train}},
 		core.HybridOptions{
 			Forest: forest.Config{Trees: 10, FeatureFrac: 0.9, Seed: opts.Seed + 7},

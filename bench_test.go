@@ -13,6 +13,7 @@ package mdsprint
 // and regenerate the full-scale record with cmd/benchgen -scale full.
 
 import (
+	"context"
 	"os"
 	"sync"
 	"testing"
@@ -336,8 +337,11 @@ func BenchmarkAblationCalibration(b *testing.B) {
 // fixes 10 deep, unpruned trees).
 func BenchmarkAblationForest(b *testing.B) {
 	ds := ablationDataset()
-	recs := calib.CalibrateDataset(ds, ds.Observations,
+	recs, err := calib.CalibrateDatasetCtx(context.Background(), ds, ds.Observations,
 		calib.Options{NumQueries: 1500, Replications: 2, Tolerance: 0.02, Seed: 13})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var samples []forest.Sample
 	for i, rec := range recs {
 		obs := ds.Observations[i]

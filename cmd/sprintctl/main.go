@@ -329,7 +329,8 @@ func resolveMix(name string) (workload.Mix, error) {
 
 // trainHybrid trains the hybrid model on every observation of a dataset.
 func trainHybrid(ds *profiler.Dataset, seed uint64) (*core.Hybrid, error) {
-	return core.TrainHybrid(
+	return core.TrainHybridCtx(
+		context.Background(),
 		[]core.TrainingSet{{Dataset: ds, Observations: ds.Observations}},
 		core.HybridOptions{
 			Forest:     forest.Config{Trees: 10, FeatureFrac: 0.9, Seed: seed + 7},

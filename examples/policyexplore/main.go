@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,8 @@ func main() {
 	fmt.Printf("  sustained %.1f qph, sprint %.1f qph\n",
 		sprint.ToQPH(ds.ServiceRate), sprint.ToQPH(ds.MarginalRate))
 
-	h, err := core.TrainHybrid(
+	h, err := core.TrainHybridCtx(
+		context.Background(),
 		[]core.TrainingSet{{Dataset: ds, Observations: ds.Observations}},
 		core.HybridOptions{
 			Forest:     forest.Config{Trees: 10, FeatureFrac: 0.9, Seed: 22},

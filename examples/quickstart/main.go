@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,8 @@ func main() {
 	// 2. Train the hybrid model: calibrate effective sprint rates and
 	// fit the random decision forest.
 	fmt.Println("training hybrid model (profiling -> effective sprint rate -> forest)...")
-	h, err := core.TrainHybrid(
+	h, err := core.TrainHybridCtx(
+		context.Background(),
 		[]core.TrainingSet{{Dataset: ds, Observations: ds.Observations}},
 		core.HybridOptions{
 			Forest:     forest.Config{Trees: 10, FeatureFrac: 0.9, Seed: 8},

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,8 @@ func main() {
 	fmt.Println("profiling Jacobi on DVFS...")
 	ds := p.Profile(profiler.PaperGrid().Sample(40, 5))
 
-	h, err := core.TrainHybrid(
+	h, err := core.TrainHybridCtx(
+		context.Background(),
 		[]core.TrainingSet{{Dataset: ds, Observations: ds.Observations}},
 		core.HybridOptions{
 			Forest:     forest.Config{Trees: 10, FeatureFrac: 0.9, Seed: 12},

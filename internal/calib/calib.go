@@ -48,7 +48,7 @@ type Options struct {
 	StepQPH  float64
 	// Seed fixes the common random numbers.
 	Seed uint64
-	// Workers bounds CalibrateDataset concurrency (default NumCPU).
+	// Workers bounds CalibrateDatasetCtx concurrency (default NumCPU).
 	Workers int
 	// Engine evaluates the simulator; nil uses sweep.Shared(), so
 	// repeated bracket/bisection points — and whole re-calibrations of a
@@ -213,16 +213,6 @@ func SimulateRTErr(ds *profiler.Dataset, obs profiler.Observation, rate float64,
 	return pred.MeanRT, nil
 }
 
-// SimulateRT is SimulateRTErr for callers with no error channel; it
-// panics if the simulation fails (Must semantics).
-func SimulateRT(ds *profiler.Dataset, obs profiler.Observation, rate float64, o Options) float64 {
-	rt, err := SimulateRTErr(ds, obs, rate, o)
-	if err != nil {
-		panic(err.Error())
-	}
-	return rt
-}
-
 // EffectiveRate finds mu_e for one observation. It returns the calibrated
 // record; search failures degrade gracefully to the nearest bound.
 func EffectiveRate(ds *profiler.Dataset, obs profiler.Observation, opts Options) (rec Record) {
@@ -379,40 +369,22 @@ func stepSearch(eval func(float64) float64, mu, mum, target float64, o Options) 
 	return best, bestRT
 }
 
-// CalibrateDataset computes one Record per observation, in parallel.
-func CalibrateDataset(ds *profiler.Dataset, obs []profiler.Observation, opts Options) []Record {
-	recs, err := CalibrateDatasetCtx(context.Background(), ds, obs, opts)
-	if err != nil {
-		// Unreachable: the only error source is the context, and
-		// Background is never done.
-		panic(err.Error())
-	}
-	return recs
-}
-
-// startCtxSpan starts a span from ctx. A package-level wrapper because
-// the calibration entry points shadow the obs import with their
-// observation parameters.
-func startCtxSpan(ctx context.Context, name string) *obs.Span {
-	return obs.StartSpanCtx(ctx, name)
-}
-
-// CalibrateDatasetCtx is CalibrateDataset honoring cancellation: once
-// ctx is done, queued records are abandoned and ctx's error is
+// CalibrateDatasetCtx computes one Record per observation, in parallel.
+// Once ctx is done, queued records are abandoned and ctx's error is
 // returned (records already simulating finish their point).
-func CalibrateDatasetCtx(ctx context.Context, ds *profiler.Dataset, obs []profiler.Observation, opts Options) ([]Record, error) {
+func CalibrateDatasetCtx(ctx context.Context, ds *profiler.Dataset, observations []profiler.Observation, opts Options) ([]Record, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	o := opts.withDefaults()
-	sp := startCtxSpan(ctx, "calib.dataset")
-	sp.SetInt("records", int64(len(obs)))
+	sp := obs.StartSpanCtx(ctx, "calib.dataset")
+	sp.SetInt("records", int64(len(observations)))
 	defer sp.End()
 	o.span = sp
-	out := make([]Record, len(obs))
+	out := make([]Record, len(observations))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, o.Workers)
-	for i := range obs {
+	for i := range observations {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -423,7 +395,7 @@ func CalibrateDatasetCtx(ctx context.Context, ds *profiler.Dataset, obs []profil
 			}
 			oi := o
 			oi.Seed = o.Seed + uint64(i)*0x9e3779b97f4a7c15
-			out[i] = EffectiveRate(ds, obs[i], oi)
+			out[i] = EffectiveRate(ds, observations[i], oi)
 		}(i)
 	}
 	wg.Wait()

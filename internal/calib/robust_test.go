@@ -85,12 +85,17 @@ func TestCalibrateDatasetCtxCancellation(t *testing.T) {
 	if recs != nil {
 		t.Fatalf("canceled calibration returned records: %v", recs)
 	}
-	// The uncanceled ctx path matches the legacy API.
-	a, err := CalibrateDatasetCtx(context.Background(), ds, ds.Observations, o)
+	// A live, never-canceled context calibrates exactly as Background.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	a, err := CalibrateDatasetCtx(live, ds, ds.Observations, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := CalibrateDataset(ds, ds.Observations, o)
+	b, err := CalibrateDatasetCtx(context.Background(), ds, ds.Observations, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a) != len(b) {
 		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
 	}

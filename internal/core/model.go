@@ -77,6 +77,16 @@ type CtxModel interface {
 	PredictCtx(ctx context.Context, ds *profiler.Dataset, sc Scenario) (Prediction, error)
 }
 
+// Predict routes one prediction through the model's context-aware entry
+// point when it has one, so span parentage and cancellation survive;
+// other models fall back to their plain Predict.
+func Predict(ctx context.Context, m Model, ds *profiler.Dataset, sc Scenario) (Prediction, error) {
+	if cm, ok := m.(CtxModel); ok {
+		return cm.PredictCtx(ctx, ds, sc)
+	}
+	return m.Predict(ds, sc)
+}
+
 // FeatureNames lists the predictive features shared by the forest and the
 // ANN, in order. They are the paper's Figure 5 columns (lambda, mu, mu_m,
 // budget, refill, timeout) plus normalised derivatives that help the
@@ -295,30 +305,21 @@ type Evaluation struct {
 // BatchModel is a Model that can score many scenarios in one call —
 // simulator-backed models implement it by handing the batch to the sweep
 // engine, which shards the evaluations and memoizes repeats.
+//
+// The batch honors the context's cancellation, and its spans nest under
+// the context's span.
 type BatchModel interface {
 	Model
-	PredictAll(ds *profiler.Dataset, scs []Scenario) ([]Prediction, error)
-}
-
-// BatchCtxModel is a BatchModel whose batch predictions honor a context
-// (cancellation and span tracing).
-type BatchCtxModel interface {
-	BatchModel
 	PredictAllCtx(ctx context.Context, ds *profiler.Dataset, scs []Scenario) ([]Prediction, error)
 }
 
-// Evaluate predicts every observation's condition and collects absolute
-// relative errors, the metric of Figures 7-10. Models implementing
-// BatchModel are scored as one sweep; others fall back to serial
-// Predict calls (the two paths are bit-identical — see the sweep
-// engine's determinism contract).
-func Evaluate(m Model, ds *profiler.Dataset, obs []profiler.Observation) (Evaluation, error) {
-	return EvaluateCtx(context.Background(), m, ds, obs)
-}
-
-// EvaluateCtx is Evaluate honoring cancellation and span tracing: the
-// whole evaluation is one "core.evaluate" span, and context-aware
-// models nest their prediction spans under it.
+// EvaluateCtx predicts every observation's condition and collects
+// absolute relative errors, the metric of Figures 7-10. Models
+// implementing BatchModel are scored as one sweep; others fall back to
+// serial predictions (the two paths are bit-identical — see the sweep
+// engine's determinism contract). The whole evaluation is one
+// "core.evaluate" span, and context-aware models nest their prediction
+// spans under it.
 func EvaluateCtx(ctx context.Context, m Model, ds *profiler.Dataset, observations []profiler.Observation) (Evaluation, error) {
 	sp := obs.StartSpanCtx(ctx, "core.evaluate")
 	sp.SetString("model", m.Name())
@@ -343,26 +344,14 @@ func evaluate(ctx context.Context, m Model, ds *profiler.Dataset, obs []profiler
 		for i, o := range obs {
 			scs[i] = Scenario{Cond: o.Cond, ArrivalRate: o.ArrivalRate}
 		}
-		var batch []Prediction
-		var err error
-		if bcm, ok := bm.(BatchCtxModel); ok {
-			batch, err = bcm.PredictAllCtx(ctx, ds, scs)
-		} else {
-			batch, err = bm.PredictAll(ds, scs)
-		}
+		batch, err := bm.PredictAllCtx(ctx, ds, scs)
 		if err != nil {
 			return Evaluation{}, fmt.Errorf("core: evaluating batch: %w", err)
 		}
 		preds = batch
 	} else {
 		for _, o := range obs {
-			var pred Prediction
-			var err error
-			if cm, ok := m.(CtxModel); ok {
-				pred, err = cm.PredictCtx(ctx, ds, Scenario{Cond: o.Cond, ArrivalRate: o.ArrivalRate})
-			} else {
-				pred, err = m.Predict(ds, Scenario{Cond: o.Cond, ArrivalRate: o.ArrivalRate})
-			}
+			pred, err := Predict(ctx, m, ds, Scenario{Cond: o.Cond, ArrivalRate: o.ArrivalRate})
 			if err != nil {
 				return Evaluation{}, fmt.Errorf("core: evaluating %s: %w", o.Cond, err)
 			}
@@ -474,12 +463,8 @@ func (n *NoML) PredictCtx(ctx context.Context, ds *profiler.Dataset, sc Scenario
 	return simulate(ctx, n.resolveEngine(), n.Tiers, ds, sc, conditionMarginal(ds, sc.Cond), queries, reps, n.Seed, n.Tracer)
 }
 
-// PredictAll scores a batch of scenarios as one sweep.
-func (n *NoML) PredictAll(ds *profiler.Dataset, scs []Scenario) ([]Prediction, error) {
-	return n.PredictAllCtx(context.Background(), ds, scs)
-}
-
-// PredictAllCtx is PredictAll honoring cancellation and span tracing.
+// PredictAllCtx scores a batch of scenarios as one sweep, honoring
+// cancellation and span tracing.
 func (n *NoML) PredictAllCtx(ctx context.Context, ds *profiler.Dataset, scs []Scenario) ([]Prediction, error) {
 	queries, reps := n.simSizes()
 	rates := make([]float64, len(scs))
@@ -541,16 +526,11 @@ type HybridOptions struct {
 	Tiers *tier.Estimator
 }
 
-// TrainHybrid calibrates effective sprint rates for every training
-// observation and fits the random decision forest on them.
-func TrainHybrid(sets []TrainingSet, o HybridOptions) (*Hybrid, error) {
-	return TrainHybridCtx(context.Background(), sets, o)
-}
-
-// TrainHybridCtx is TrainHybrid honoring cancellation and span tracing:
-// training is one "core.train_hybrid" span with each dataset's
-// calibration (and its per-record searches) and the forest fit nested
-// under it.
+// TrainHybridCtx calibrates effective sprint rates for every training
+// observation and fits the random decision forest on them, honoring
+// cancellation and span tracing: training is one "core.train_hybrid"
+// span with each dataset's calibration (and its per-record searches)
+// and the forest fit nested under it.
 func TrainHybridCtx(ctx context.Context, sets []TrainingSet, o HybridOptions) (h *Hybrid, err error) {
 	sp := obs.StartSpanCtx(ctx, "core.train_hybrid")
 	sp.SetInt("training_sets", int64(len(sets)))
@@ -665,14 +645,10 @@ func (h *Hybrid) PredictCtx(ctx context.Context, ds *profiler.Dataset, sc Scenar
 	return simulate(ctx, h.engine, h.tiers, ds, sc, h.EffectiveRate(ds, sc), h.simQueries, h.simReps, h.seed, h.tracer)
 }
 
-// PredictAll runs the pipeline for a batch of scenarios as one sweep:
-// the forest prices every scenario's effective rate up front, then the
-// engine shards (and memoizes) the queue simulations.
-func (h *Hybrid) PredictAll(ds *profiler.Dataset, scs []Scenario) ([]Prediction, error) {
-	return h.PredictAllCtx(context.Background(), ds, scs)
-}
-
-// PredictAllCtx is PredictAll honoring cancellation and span tracing.
+// PredictAllCtx runs the pipeline for a batch of scenarios as one
+// sweep, honoring cancellation and span tracing: the forest prices every
+// scenario's effective rate up front, then the engine shards (and
+// memoizes) the queue simulations.
 func (h *Hybrid) PredictAllCtx(ctx context.Context, ds *profiler.Dataset, scs []Scenario) ([]Prediction, error) {
 	rates := make([]float64, len(scs))
 	for i, sc := range scs {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestScenarioArrivalRateResolution(t *testing.T) {
 func TestHybridEndToEndAccuracy(t *testing.T) {
 	ds := profileJacobi(t, 24)
 	train, test := profiler.SplitObservations(ds.Observations, 0.8, 7)
-	h, err := TrainHybrid([]TrainingSet{{Dataset: ds, Observations: train}}, HybridOptions{
+	h, err := TrainHybridCtx(context.Background(), []TrainingSet{{Dataset: ds, Observations: train}}, HybridOptions{
 		Calib:      testCalib,
 		SimQueries: 2500,
 		SimReps:    2,
@@ -77,7 +78,7 @@ func TestHybridEndToEndAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Evaluate(h, ds, test)
+	ev, err := EvaluateCtx(context.Background(), h, ds, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,18 +108,18 @@ func TestHybridBeatsNoMLUnderLoad(t *testing.T) {
 	}
 	ds := p.Profile(grid.Conditions())
 	train, test := profiler.SplitObservations(ds.Observations, 0.7, 3)
-	h, err := TrainHybrid([]TrainingSet{{Dataset: ds, Observations: train}}, HybridOptions{
+	h, err := TrainHybridCtx(context.Background(), []TrainingSet{{Dataset: ds, Observations: train}}, HybridOptions{
 		Calib: testCalib, SimQueries: 2500, SimReps: 2, Seed: 17,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	noml := &NoML{SimQueries: 2500, SimReps: 2, Seed: 17}
-	evH, err := Evaluate(h, ds, test)
+	evH, err := EvaluateCtx(context.Background(), h, ds, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evN, err := Evaluate(noml, ds, test)
+	evN, err := EvaluateCtx(context.Background(), noml, ds, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestANNTrainsAndPredicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Evaluate(model, ds, test)
+	ev, err := EvaluateCtx(context.Background(), model, ds, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestANNTrainsAndPredicts(t *testing.T) {
 func TestEffectiveRateClamped(t *testing.T) {
 	ds := profileJacobi(t, 10)
 	train := ds.Observations
-	h, err := TrainHybrid([]TrainingSet{{Dataset: ds, Observations: train}}, HybridOptions{
+	h, err := TrainHybridCtx(context.Background(), []TrainingSet{{Dataset: ds, Observations: train}}, HybridOptions{
 		Calib: testCalib, Seed: 29,
 	})
 	if err != nil {
@@ -168,7 +169,7 @@ func TestEffectiveRateClamped(t *testing.T) {
 
 func TestHybridRecordsAndImportances(t *testing.T) {
 	ds := profileJacobi(t, 10)
-	h, err := TrainHybrid([]TrainingSet{{Dataset: ds, Observations: ds.Observations}}, HybridOptions{
+	h, err := TrainHybridCtx(context.Background(), []TrainingSet{{Dataset: ds, Observations: ds.Observations}}, HybridOptions{
 		Calib: testCalib, Seed: 31,
 	})
 	if err != nil {
@@ -184,10 +185,10 @@ func TestHybridRecordsAndImportances(t *testing.T) {
 }
 
 func TestTrainHybridValidation(t *testing.T) {
-	if _, err := TrainHybrid(nil, HybridOptions{}); err == nil {
+	if _, err := TrainHybridCtx(context.Background(), nil, HybridOptions{}); err == nil {
 		t.Fatal("empty training sets accepted")
 	}
-	if _, err := TrainHybrid([]TrainingSet{{Dataset: &profiler.Dataset{}, Observations: nil}}, HybridOptions{}); err == nil {
+	if _, err := TrainHybridCtx(context.Background(), []TrainingSet{{Dataset: &profiler.Dataset{}, Observations: nil}}, HybridOptions{}); err == nil {
 		t.Fatal("zero observations accepted")
 	}
 }
@@ -201,7 +202,7 @@ func TestTrainANNValidation(t *testing.T) {
 func TestEvaluateErrorsConsistent(t *testing.T) {
 	ds := profileJacobi(t, 8)
 	noml := &NoML{SimQueries: 1500, SimReps: 1, Seed: 37}
-	ev, err := Evaluate(noml, ds, ds.Observations)
+	ev, err := EvaluateCtx(context.Background(), noml, ds, ds.Observations)
 	if err != nil {
 		t.Fatal(err)
 	}

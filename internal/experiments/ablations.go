@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -103,7 +104,10 @@ func Ablations(lab *Lab) (AblationsResult, error) {
 	// response-time error (mu_e-space error would mostly measure
 	// calibration noise in RT-insensitive regions).
 	trainObs, testObs := profiler.SplitObservations(ds.Observations, 0.7, lab.Scale.Seed+211)
-	recs := calib.CalibrateDataset(ds, trainObs, base)
+	recs, err := calib.CalibrateDatasetCtx(context.Background(), ds, trainObs, base)
+	if err != nil {
+		return res, err
+	}
 	var samples []forest.Sample
 	for i, rec := range recs {
 		obs := trainObs[i]
@@ -130,7 +134,7 @@ func Ablations(lab *Lab) (AblationsResult, error) {
 			return res, err
 		}
 		h := core.NewHybridFromForest(fo, lab.Scale.SimQueries, lab.Scale.SimReps, 1, lab.Scale.Seed+13)
-		ev, err := core.Evaluate(h, ds, testObs)
+		ev, err := core.EvaluateCtx(context.Background(), h, ds, testObs)
 		if err != nil {
 			return res, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 
 	"mdsprint/internal/core"
@@ -43,7 +44,7 @@ func Fig10(lab *Lab) (Fig10Result, error) {
 		if err != nil {
 			return res, err
 		}
-		ev, err := core.Evaluate(h, ds, test)
+		ev, err := core.EvaluateCtx(context.Background(), h, ds, test)
 		if err != nil {
 			return res, err
 		}
@@ -119,7 +120,7 @@ func clusterInOut(lab *Lab) (in, out []float64, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	evOut, err := core.Evaluate(hOut, ds, outObs)
+	evOut, err := core.EvaluateCtx(context.Background(), hOut, ds, outObs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -130,7 +131,7 @@ func clusterInOut(lab *Lab) (in, out []float64, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	evIn, err := core.Evaluate(hIn, ds, testIn)
+	evIn, err := core.EvaluateCtx(context.Background(), hIn, ds, testIn)
 	if err != nil {
 		return nil, nil, err
 	}

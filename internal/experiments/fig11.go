@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -80,7 +81,7 @@ func Fig11(lab *Lab) Fig11Result {
 				}
 			}
 			start := time.Now()
-			if _, err := eng.EvaluateAll(tasks); err != nil {
+			if _, err := eng.EvaluateAllCtx(context.Background(), tasks); err != nil {
 				panic(err)
 			}
 			elapsed := time.Since(start).Minutes()
@@ -93,7 +94,7 @@ func Fig11(lab *Lab) Fig11Result {
 					Reps:   1,
 				}
 			}
-			means, err := eng.MeanRTs(covTasks)
+			means, err := eng.MeanRTsCtx(context.Background(), covTasks)
 			if err != nil {
 				panic(err)
 			}

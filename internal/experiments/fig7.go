@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mdsprint/internal/core"
@@ -91,7 +92,7 @@ func Fig7(lab *Lab) (Fig7Result, error) {
 			"ANN +more data": annMore,
 		}
 		for name, m := range models {
-			ev, err := core.Evaluate(m, ds, test)
+			ev, err := core.EvaluateCtx(context.Background(), m, ds, test)
 			if err != nil {
 				return res, fmt.Errorf("fig7 %s on %s: %w", name, c.Name, err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"mdsprint/internal/core"
@@ -56,7 +57,7 @@ func fig8(lab *Lab, modelName string) (Fig8Result, error) {
 		if err != nil {
 			return res, err
 		}
-		ev, err := core.Evaluate(m, ds, test)
+		ev, err := core.EvaluateCtx(context.Background(), m, ds, test)
 		if err != nil {
 			return res, err
 		}
@@ -88,7 +89,7 @@ func Fig8C(lab *Lab) (Fig8CResult, error) {
 		if err != nil {
 			return res, err
 		}
-		ev, err := core.Evaluate(h, ds, test)
+		ev, err := core.EvaluateCtx(context.Background(), h, ds, test)
 		if err != nil {
 			return res, err
 		}
@@ -108,7 +109,7 @@ func Fig8C(lab *Lab) (Fig8CResult, error) {
 	if err != nil {
 		return res, err
 	}
-	ev, err := core.Evaluate(h, dsDense, test)
+	ev, err := core.EvaluateCtx(context.Background(), h, dsDense, test)
 	if err != nil {
 		return res, err
 	}

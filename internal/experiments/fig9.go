@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"mdsprint/internal/core"
@@ -36,7 +37,7 @@ func Fig9(lab *Lab) (Fig9Result, error) {
 		if err != nil {
 			return res, err
 		}
-		ev, err := core.Evaluate(h, ds, test)
+		ev, err := core.EvaluateCtx(context.Background(), h, ds, test)
 		if err != nil {
 			return res, err
 		}

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -191,7 +192,8 @@ func (l *Lab) Hybrid(ds *profiler.Dataset, train []profiler.Observation, tag str
 		return h, nil
 	}
 	l.mu.Unlock()
-	h, err := core.TrainHybrid(
+	h, err := core.TrainHybridCtx(
+		context.Background(),
 		[]core.TrainingSet{{Dataset: ds, Observations: train}},
 		l.hybridOptions(),
 	)

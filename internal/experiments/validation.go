@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -53,7 +54,7 @@ func MMKValidation(lab *Lab) MMKResult {
 			Reps: 1,
 		}
 	}
-	sims, err := lab.Engine().MeanRTs(tasks)
+	sims, err := lab.Engine().MeanRTsCtx(context.Background(), tasks)
 	if err != nil {
 		panic(err)
 	}
@@ -113,7 +114,7 @@ func DataScaling(lab *Lab) (DataScalingResult, error) {
 	if err != nil {
 		return res, err
 	}
-	evH, err := core.Evaluate(h, ds, test)
+	evH, err := core.EvaluateCtx(context.Background(), h, ds, test)
 	if err != nil {
 		return res, err
 	}
@@ -140,7 +141,7 @@ func DataScaling(lab *Lab) (DataScalingResult, error) {
 			if err != nil {
 				return res, err
 			}
-			ev, err := core.Evaluate(m, ds, test)
+			ev, err := core.EvaluateCtx(context.Background(), m, ds, test)
 			if err != nil {
 				return res, err
 			}

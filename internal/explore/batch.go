@@ -11,7 +11,7 @@ import (
 
 // BatchObjective scores a cohort of candidate points in one call and
 // returns their expected response times in order. Implementations
-// typically hand the cohort to sweep.Engine.MeanRTs, which shards the
+// typically hand the cohort to sweep.Engine.MeanRTsCtx, which shards the
 // evaluations across workers and memoizes repeats.
 type BatchObjective func(points [][]float64) ([]float64, error)
 
@@ -45,7 +45,7 @@ type proposal struct {
 	u float64
 }
 
-// MinimizeBatch anneals like Minimize but scores proposals in cohorts
+// MinimizeBatchCtx anneals like Minimize but scores proposals in cohorts
 // through a batch objective. Determinism contract: for a fixed seed the
 // accepted trajectory, best point and trace are identical for every
 // Cohort, because proposal draws are indexed by iteration (not by
@@ -53,19 +53,15 @@ type proposal struct {
 // processed, evaluated proposal fails to improve — both invariant under
 // batching.
 //
-// MinimizeBatch intentionally uses two split RNG streams (proposals and
-// acceptances) where the serial Minimize interleaves one, so the two
+// MinimizeBatchCtx intentionally uses two split RNG streams (proposals
+// and acceptances) where the serial Minimize interleaves one, so the two
 // searches walk different trajectories for the same seed; equivalence
-// holds within MinimizeBatch across cohort sizes.
-func MinimizeBatch(obj BatchObjective, space Space, opts BatchOptions) (Result, error) {
-	return MinimizeBatchCtx(context.Background(), obj, space, opts)
-}
-
-// MinimizeBatchCtx is MinimizeBatch honoring cancellation: the context
-// is checked before every objective call (the cohort boundary), so a
-// deadline or cancel stops the search between cohorts with ctx's error.
-// Cancellation never perturbs determinism — a run that completes under
-// a context walks the same trajectory as one without.
+// holds within MinimizeBatchCtx across cohort sizes.
+//
+// The context is checked before every objective call (the cohort
+// boundary), so a deadline or cancel stops the search between cohorts
+// with ctx's error. Cancellation never perturbs determinism — a run that
+// completes under a context walks the same trajectory as one without.
 func MinimizeBatchCtx(ctx context.Context, obj BatchObjective, space Space, opts BatchOptions) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -223,15 +219,10 @@ func callBatch(obj BatchObjective, pts [][]float64) ([]float64, error) {
 	return vals, nil
 }
 
-// MinimizeTimeoutBatch is MinimizeTimeout with a batch objective: anneal
-// the timeout alone over [lo, hi] with the +-100 s neighbour window,
-// scoring cohorts of candidate timeouts per call.
-func MinimizeTimeoutBatch(obj func(timeouts []float64) ([]float64, error), lo, hi float64, opts BatchOptions) (Result, error) {
-	return MinimizeTimeoutBatchCtx(context.Background(), obj, lo, hi, opts)
-}
-
-// MinimizeTimeoutBatchCtx is MinimizeTimeoutBatch honoring cancellation
-// (see MinimizeBatchCtx).
+// MinimizeTimeoutBatchCtx is MinimizeTimeout with a batch objective:
+// anneal the timeout alone over [lo, hi] with the +-100 s neighbour
+// window, scoring cohorts of candidate timeouts per call. Cancellation
+// works as in MinimizeBatchCtx.
 func MinimizeTimeoutBatchCtx(ctx context.Context, obj func(timeouts []float64) ([]float64, error), lo, hi float64, opts BatchOptions) (Result, error) {
 	space := Space{
 		Lo:            []float64{lo},

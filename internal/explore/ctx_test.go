@@ -45,11 +45,13 @@ func TestMinimizeBatchCtxCancelMidSearch(t *testing.T) {
 }
 
 func TestMinimizeBatchCtxBackgroundMatchesLegacy(t *testing.T) {
-	// The ctx variant with a background context is the same search.
+	// A live, never-canceled context walks the same search as Background.
 	quad := batchOf(func(p []float64) float64 { return (p[0] - 2) * (p[0] - 2) })
 	space := Space{Lo: []float64{-5}, Hi: []float64{5}, NeighborRange: []float64{1}}
 	opts := BatchOptions{Cohort: 4, Options: Options{MaxIter: 200, Seed: 17}}
-	a, err := MinimizeBatch(quad, space, opts)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	a, err := MinimizeBatchCtx(live, quad, space, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

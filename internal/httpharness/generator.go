@@ -83,17 +83,14 @@ func (cfg GeneratorConfig) metrics() generatorMetrics {
 	}
 }
 
-// Run replays the workload: it sends queries at the sampled arrival times
-// (each on its own goroutine, like independent clients) and collects every
-// response. It returns responses in arrival order.
-func Run(cfg GeneratorConfig) ([]QueryResponse, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run honoring cancellation: once ctx is done, unsent queries
-// are abandoned and in-flight requests are released by their per-attempt
-// timeouts. The first error (lowest query index) is returned, so a
-// failing replay reports deterministically.
+// RunCtx replays the workload: it sends queries at the sampled arrival
+// times (each on its own goroutine, like independent clients) and
+// collects every response. It returns responses in arrival order.
+//
+// Once ctx is done, unsent queries are abandoned and in-flight requests
+// are released by their per-attempt timeouts. The first error (lowest
+// query index) is returned, so a failing replay reports
+// deterministically.
 func RunCtx(ctx context.Context, cfg GeneratorConfig) ([]QueryResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,6 +1,7 @@
 package httpharness
 
 import (
+	"context"
 	"net/http/httptest"
 	"sort"
 	"testing"
@@ -43,7 +44,7 @@ func TestHTTPPipelineEndToEnd(t *testing.T) {
 		Policy:  msPolicy(30, 100000, 1000),
 		Speedup: 2,
 	})
-	responses, err := Run(GeneratorConfig{
+	responses, err := RunCtx(context.Background(), GeneratorConfig{
 		URL:          srv.URL,
 		Interarrival: dist.NewExponential(1000.0 / 50), // mean 50 ms
 		Service:      dist.LogNormalFromMeanCV(0.040, 0.2),
@@ -91,7 +92,7 @@ func TestHTTPSprintingSpeedsProcessing(t *testing.T) {
 		Policy:  msPolicy(0, 100000, 1000),
 		Speedup: 2,
 	})
-	responses, err := Run(GeneratorConfig{
+	responses, err := RunCtx(context.Background(), GeneratorConfig{
 		URL:          srv.URL,
 		Interarrival: dist.Deterministic{Value: 0.120},
 		Service:      dist.Deterministic{Value: 0.080},
@@ -127,7 +128,7 @@ func TestHTTPBudgetExhaustionLimitsSprints(t *testing.T) {
 		},
 		Speedup: 2,
 	})
-	responses, err := Run(GeneratorConfig{
+	responses, err := RunCtx(context.Background(), GeneratorConfig{
 		URL:          srv.URL,
 		Interarrival: dist.Deterministic{Value: 0.100},
 		Service:      dist.Deterministic{Value: 0.080},
@@ -162,11 +163,11 @@ func TestHTTPValidation(t *testing.T) {
 	if _, err := New(Config{Speedup: 0.5}); err == nil {
 		t.Fatal("speedup < 1 accepted")
 	}
-	if _, err := Run(GeneratorConfig{}); err == nil {
+	if _, err := RunCtx(context.Background(), GeneratorConfig{}); err == nil {
 		t.Fatal("empty generator config accepted")
 	}
 	_, srv := startManager(t, Config{Policy: msPolicy(10, 1000, 1000), Speedup: 2})
-	if _, err := Run(GeneratorConfig{
+	if _, err := RunCtx(context.Background(), GeneratorConfig{
 		URL:          srv.URL,
 		Interarrival: dist.Deterministic{Value: 0.01},
 		Service:      dist.Deterministic{Value: 0.01},

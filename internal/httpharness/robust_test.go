@@ -27,7 +27,7 @@ func TestRunRetriesInjectedFaults(t *testing.T) {
 	client := &http.Client{Transport: fault.NewRoundTripper(http.DefaultTransport, fault.HTTPFaultConfig{
 		Seed: 41, DropProb: 0.2, ErrorProb: 0.15, Metrics: reg,
 	})}
-	responses, err := Run(GeneratorConfig{
+	responses, err := RunCtx(context.Background(), GeneratorConfig{
 		URL:          srv.URL,
 		Interarrival: dist.Deterministic{Value: 0.005},
 		Service:      dist.Deterministic{Value: 0.002},
@@ -67,7 +67,7 @@ func TestRunDoesNotRetry4xx(t *testing.T) {
 		http.Error(w, "bad request", http.StatusBadRequest)
 	}))
 	defer srv.Close()
-	_, err := Run(GeneratorConfig{
+	_, err := RunCtx(context.Background(), GeneratorConfig{
 		URL:          srv.URL,
 		Interarrival: dist.Deterministic{Value: 0.001},
 		Service:      dist.Deterministic{Value: 0.001},
@@ -110,7 +110,7 @@ func TestRunBoundsInFlightRequests(t *testing.T) {
 	}))
 	defer srv.Close()
 	const bound = 3
-	_, err := Run(GeneratorConfig{
+	_, err := RunCtx(context.Background(), GeneratorConfig{
 		URL:          srv.URL,
 		Interarrival: dist.Deterministic{Value: 0}, // all queries due immediately
 		Service:      dist.Deterministic{Value: 0.001},
@@ -161,7 +161,7 @@ func TestRunRequestTimeoutBounds(t *testing.T) {
 		srv.Close()
 	}()
 	start := time.Now()
-	_, err := Run(GeneratorConfig{
+	_, err := RunCtx(context.Background(), GeneratorConfig{
 		URL:            srv.URL,
 		Interarrival:   dist.Deterministic{Value: 0.001},
 		Service:        dist.Deterministic{Value: 0.001},

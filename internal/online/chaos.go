@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -290,7 +291,7 @@ func RunChaos(sc fault.Scenario, opt ChaosOptions) (*ChaosResult, error) {
 			if rate <= 0 {
 				rate = lambda // estimator not warmed up yet
 			}
-			to, err := fc.Timeout(rate)
+			to, err := fc.TimeoutCtx(context.Background(), rate)
 			if err != nil {
 				return nil, fmt.Errorf("online: chaos %q step %d: %w", sc.Name, step, err)
 			}

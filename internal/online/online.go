@@ -244,7 +244,7 @@ func (c *Controller) timeout(ctx context.Context, estimatedRate float64) (float6
 	res, err := explore.MinimizeTimeout(func(to float64) float64 {
 		cond := c.Base
 		cond.Timeout = to
-		pred, perr := predictModel(ctx, c.Model, c.Dataset, core.Scenario{
+		pred, perr := core.Predict(ctx, c.Model, c.Dataset, core.Scenario{
 			Cond:        cond,
 			ArrivalRate: estimatedRate,
 		})
@@ -275,15 +275,6 @@ func (c *Controller) timeout(ctx context.Context, estimatedRate float64) (float6
 	c.retunes++
 	c.recordDecision(oldTO, c.currentTO, estimatedRate, first)
 	return c.currentTO, tierInfo{PredictedRT: res.RT, Retuned: true, SearchNanos: searchNanos}, nil
-}
-
-// predictModel routes a prediction through the model's context-aware
-// entry point when it has one, so span parentage survives the search.
-func predictModel(ctx context.Context, m core.Model, ds *profiler.Dataset, sc core.Scenario) (core.Prediction, error) {
-	if cm, ok := m.(core.CtxModel); ok {
-		return cm.PredictCtx(ctx, ds, sc)
-	}
-	return m.Predict(ds, sc)
 }
 
 // reportSearch feeds one search outcome to the breaker, if any.

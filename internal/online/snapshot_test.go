@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -49,7 +50,7 @@ func (h *snapshotHarness) drive(t *testing.T, start, steps int) []float64 {
 	out := make([]float64, 0, steps)
 	for i := start; i < start+steps; i++ {
 		rate := 0.5 + 0.3*math.Sin(float64(i)/7)
-		to, err := h.fc.Timeout(rate)
+		to, err := h.fc.TimeoutCtx(context.Background(), rate)
 		if err != nil {
 			t.Fatalf("step %d: Timeout: %v", i, err)
 		}
@@ -109,7 +110,7 @@ func TestSnapshotRestoreCarriesDegradedState(t *testing.T) {
 	h := newSnapshotHarness(t, 7)
 	h.drive(t, 0, 12)
 	*h.fail = true
-	if _, err := h.fc.Timeout(0.9); err != nil {
+	if _, err := h.fc.TimeoutCtx(context.Background(), 0.9); err != nil {
 		t.Fatalf("decision during outage: %v", err)
 	}
 	if h.fc.Level() == LevelHybrid {

@@ -10,6 +10,7 @@ package policies
 // no-sprint point instead.
 
 import (
+	"context"
 	"fmt"
 
 	"mdsprint/internal/explore"
@@ -107,7 +108,7 @@ func JointSearch(c Context, candidates []JointCandidate, opts explore.BatchOptio
 				means, _, err := cc.Tiers.MeanRTs(tasks)
 				return means, err
 			}
-			return eng.MeanRTs(tasks)
+			return eng.MeanRTsCtx(context.Background(), tasks)
 		}
 		// The paper's +-100 s neighbour window suits its 0-300 s search
 		// space; this window is data-derived (p99 of the no-sprint RT),
@@ -118,7 +119,7 @@ func JointSearch(c Context, candidates []JointCandidate, opts explore.BatchOptio
 			Hi:            []float64{maxTO},
 			NeighborRange: []float64{maxTO / 8},
 		}
-		res, err := explore.MinimizeBatch(obj, space, opts)
+		res, err := explore.MinimizeBatchCtx(context.Background(), obj, space, opts)
 		if err != nil {
 			return nil, -1, fmt.Errorf("policies: %s: %w", cand.Label(), err)
 		}

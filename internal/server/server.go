@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -465,6 +466,18 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
+// positive checks one numeric request field, answering 400 when it is
+// not finite and positive. Such input is the client's error: passed on,
+// it would fail the tenant's model, demote the tenant and answer 500,
+// which clients retry.
+func positive(w http.ResponseWriter, field string, v float64) bool {
+	if v > 0 && !math.IsInf(v, 1) {
+		return true
+	}
+	http.Error(w, fmt.Sprintf("server: %s must be finite and positive, got %v", field, v), http.StatusBadRequest)
+	return false
+}
+
 // writeJSON writes a 200 JSON response.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -479,7 +492,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req DecideRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req) || !positive(w, "rate", req.Rate) {
 		return
 	}
 	t, ok := s.lookup(req.Tenant)
@@ -509,7 +522,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req ObserveRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req) || !positive(w, "rate", req.Rate) || !positive(w, "observed_rt", req.Observed) {
 		return
 	}
 	t, ok := s.lookup(req.Tenant)

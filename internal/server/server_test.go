@@ -85,6 +85,51 @@ func TestDecideAndTenantListing(t *testing.T) {
 	}
 }
 
+func TestBadNumericInputIs400(t *testing.T) {
+	// A rate or observed RT that is not finite and positive is the
+	// client's error: a 400, never a model failure that demotes the
+	// tenant or a 5xx that clients retry.
+	s := newTestServer(t, Options{Tenants: testTenants("alpha")})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	tn, _ := s.lookup("alpha")
+	errsBefore, _ := tn.reg.Value("mdsprint_serve_decision_errors_total")
+
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/decide", `{"tenant":"alpha","rate":0}`},
+		{"/v1/decide", `{"tenant":"alpha","rate":-1}`},
+		{"/v1/observe", `{"tenant":"alpha","rate":0,"observed_rt":2}`},
+		{"/v1/observe", `{"tenant":"alpha","rate":-1,"observed_rt":2}`},
+		{"/v1/observe", `{"tenant":"alpha","rate":0.6,"observed_rt":0}`},
+		{"/v1/observe", `{"tenant":"alpha","rate":0.6,"observed_rt":-1}`},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s %s: %v", tc.path, tc.body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s %s: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+		if lvl := tn.Level(); lvl != online.LevelHybrid {
+			t.Fatalf("POST %s %s demoted the tenant to %v", tc.path, tc.body, lvl)
+		}
+	}
+	if errs, _ := tn.reg.Value("mdsprint_serve_decision_errors_total"); errs != errsBefore {
+		t.Fatalf("decision errors %v -> %v on rejected input", errsBefore, errs)
+	}
+
+	resp, err := http.Post(srv.URL+"/v1/decide", "application/json",
+		strings.NewReader(`{"tenant":"alpha","rate":0.6}`))
+	if err != nil {
+		t.Fatalf("POST valid decide: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid decide after rejected input: status %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestGlobalInFlightValveSheds(t *testing.T) {
 	s := newTestServer(t, Options{Tenants: testTenants("a"), MaxInFlight: 1})
 	// Hold the only slot, then probe.

@@ -27,7 +27,7 @@ func TestPoolSurvivesInjectedPanics(t *testing.T) {
 			return nil
 		},
 	})
-	b := e.EvaluateAsync(tasks)
+	b := e.EvaluateAsyncCtx(context.Background(), tasks)
 	preds, err := b.Wait()
 	if err == nil {
 		t.Fatal("expected the batch to report the panicked tasks")
@@ -36,7 +36,7 @@ func TestPoolSurvivesInjectedPanics(t *testing.T) {
 	if !strings.Contains(err.Error(), "task 3") || !strings.Contains(err.Error(), "recovered panic") {
 		t.Fatalf("batch error %q, want the recovered panic of task 3", err)
 	}
-	want, werr := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAll(tasks)
+	want, werr := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAllCtx(context.Background(), tasks)
 	if werr != nil {
 		t.Fatal(werr)
 	}
@@ -53,7 +53,7 @@ func TestPoolSurvivesInjectedPanics(t *testing.T) {
 	}
 	// The pool must still work: same engine, clean batch.
 	disarmed.Store(true)
-	again, err := e.EvaluateAll(tasks)
+	again, err := e.EvaluateAllCtx(context.Background(), tasks)
 	if err != nil {
 		t.Fatalf("engine unusable after recovered panics: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestBatchReportsLowestIndexedHookError(t *testing.T) {
 			return nil
 		},
 	})
-	_, err := e.EvaluateAll(tasks)
+	_, err := e.EvaluateAllCtx(context.Background(), tasks)
 	if err == nil || !strings.Contains(err.Error(), "task 4") {
 		t.Fatalf("batch error %v, want task 4 (the lowest failing index)", err)
 	}
@@ -96,15 +96,15 @@ func TestHookFaultsAreNotMemoized(t *testing.T) {
 			return nil
 		},
 	})
-	if _, err := e.EvaluateAll(tasks); err == nil {
+	if _, err := e.EvaluateAllCtx(context.Background(), tasks); err == nil {
 		t.Fatal("setup: the failing batch must fail")
 	}
 	failing.Store(false)
-	got, err := e.EvaluateAll(tasks)
+	got, err := e.EvaluateAllCtx(context.Background(), tasks)
 	if err != nil {
 		t.Fatalf("cache poisoned by injected hook errors: %v", err)
 	}
-	want, werr := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAll(tasks)
+	want, werr := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAllCtx(context.Background(), tasks)
 	if werr != nil {
 		t.Fatal(werr)
 	}
@@ -128,7 +128,7 @@ func TestEvaluateAsyncCtxCancellation(t *testing.T) {
 		t.Fatalf("Canceled = %d, want %d", got, len(tasks))
 	}
 	// The engine survives cancellation.
-	if _, err := e.EvaluateAll(tasks[:4]); err != nil {
+	if _, err := e.EvaluateAllCtx(context.Background(), tasks[:4]); err != nil {
 		t.Fatalf("engine unusable after a canceled batch: %v", err)
 	}
 	if _, err := e.MeanRTsCtx(ctx, tasks[:2]); !errors.Is(err, context.Canceled) {

@@ -8,7 +8,7 @@
 //
 // The engine does two things for those callers:
 //
-//   - Sharding: EvaluateAll/EvaluateAsync spread a batch of independent
+//   - Sharding: EvaluateAllCtx/EvaluateAsyncCtx spread a batch of independent
 //     (Params, Reps) evaluations across a bounded worker pool. Each task
 //     carries its own RNG seed and each result lands at its task's index,
 //     so batch output is bit-for-bit identical to the serial order
@@ -128,7 +128,7 @@ func New(o Options) *Engine {
 		bypasses:   reg.Counter("mdsprint_sweep_cache_bypass_total", "tasks evaluated uncached (tracer/clock attached, unfingerprintable, or cache disabled)"),
 		evicts:     reg.Counter("mdsprint_sweep_cache_evictions_total", "memoized evaluations evicted by the LRU bound"),
 		entries:    reg.Gauge("mdsprint_sweep_cache_entries", "memoized evaluations currently retained"),
-		batches:    reg.Counter("mdsprint_sweep_batches_total", "EvaluateAll/EvaluateAsync batches started"),
+		batches:    reg.Counter("mdsprint_sweep_batches_total", "EvaluateAllCtx/EvaluateAsyncCtx batches started"),
 		batchTasks: reg.Histogram("mdsprint_sweep_batch_tasks", "tasks per sweep batch", 0),
 		panics:     reg.Counter("mdsprint_sweep_recovered_panics_total", "worker panics recovered and surfaced as task errors"),
 		canceled:   reg.Counter("mdsprint_sweep_canceled_tasks_total", "batch tasks abandoned by context cancellation"),
@@ -367,7 +367,7 @@ func (e *Engine) runTask(parent *obs.Span, worker, i int, t Task) (queuesim.Pred
 	return pred, err
 }
 
-// Batch is an in-flight EvaluateAsync result.
+// Batch is an in-flight EvaluateAsyncCtx result.
 type Batch struct {
 	preds []queuesim.Prediction
 	errs  []error
@@ -388,18 +388,15 @@ func (b *Batch) Wait() ([]queuesim.Prediction, error) {
 	return b.preds, nil
 }
 
-// EvaluateAsync shards the batch across the worker pool and returns
+// EvaluateAsyncCtx shards the batch across the worker pool and returns
 // immediately; collect with Wait. Each replication inside a task runs
 // serially (queuesim.Predict with one worker) so parallelism lives at
 // task granularity and a task's result never depends on pool size.
-func (e *Engine) EvaluateAsync(tasks []Task) *Batch {
-	return e.EvaluateAsyncCtx(context.Background(), tasks)
-}
-
-// EvaluateAsyncCtx is EvaluateAsync honoring cancellation: once ctx is
-// done, remaining tasks are abandoned with ctx's error (already-running
-// simulations finish their point). Results for completed tasks are
-// still populated, and Wait reports the lowest-indexed error as usual.
+//
+// Once ctx is done, remaining tasks are abandoned with ctx's error
+// (already-running simulations finish their point). Results for
+// completed tasks are still populated, and Wait reports the
+// lowest-indexed error as usual.
 func (e *Engine) EvaluateAsyncCtx(ctx context.Context, tasks []Task) *Batch {
 	if ctx == nil {
 		ctx = context.Background()
@@ -450,23 +447,14 @@ func (e *Engine) EvaluateAsyncCtx(ctx context.Context, tasks []Task) *Batch {
 	return b
 }
 
-// EvaluateAll evaluates the batch and blocks for the results.
-func (e *Engine) EvaluateAll(tasks []Task) ([]queuesim.Prediction, error) {
-	return e.EvaluateAsync(tasks).Wait()
-}
-
-// EvaluateAllCtx is EvaluateAll honoring cancellation.
+// EvaluateAllCtx evaluates the batch and blocks for the results,
+// honoring cancellation as EvaluateAsyncCtx does.
 func (e *Engine) EvaluateAllCtx(ctx context.Context, tasks []Task) ([]queuesim.Prediction, error) {
 	return e.EvaluateAsyncCtx(ctx, tasks).Wait()
 }
 
-// MeanRTs is EvaluateAll reduced to each task's mean response time — the
-// shape policy searches score candidates with.
-func (e *Engine) MeanRTs(tasks []Task) ([]float64, error) {
-	return e.MeanRTsCtx(context.Background(), tasks)
-}
-
-// MeanRTsCtx is MeanRTs honoring cancellation.
+// MeanRTsCtx is EvaluateAllCtx reduced to each task's mean response
+// time — the shape policy searches score candidates with.
 func (e *Engine) MeanRTsCtx(ctx context.Context, tasks []Task) ([]float64, error) {
 	preds, err := e.EvaluateAllCtx(ctx, tasks)
 	if err != nil {

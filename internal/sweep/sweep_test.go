@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -34,13 +35,13 @@ func bitsOf(p queuesim.Prediction) [3]uint64 {
 // order, and a cached re-run must reproduce the uncached run exactly.
 func TestShardingDeterminism(t *testing.T) {
 	tasks := testGrid()
-	baseline, err := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAll(tasks)
+	baseline, err := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAllCtx(context.Background(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, runtime.NumCPU()} {
 		e := New(Options{Workers: workers, CacheSize: -1, Metrics: obs.NewRegistry()})
-		got, err := e.EvaluateAll(tasks)
+		got, err := e.EvaluateAllCtx(context.Background(), tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,11 +55,11 @@ func TestShardingDeterminism(t *testing.T) {
 	// Cached engine: first pass misses everything, second pass must be
 	// served ~entirely from memoization and still be bit-identical.
 	e := New(Options{Workers: 4, Metrics: obs.NewRegistry()})
-	first, err := e.EvaluateAll(tasks)
+	first, err := e.EvaluateAllCtx(context.Background(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.EvaluateAll(tasks)
+	second, err := e.EvaluateAllCtx(context.Background(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestSingleFlight(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	tasks := testGrid()
 	e := New(Options{Workers: 1, CacheSize: 4, Metrics: obs.NewRegistry()})
-	if _, err := e.EvaluateAll(tasks[:8]); err != nil {
+	if _, err := e.EvaluateAllCtx(context.Background(), tasks[:8]); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -191,7 +192,7 @@ func TestBatchErrorIsLowestIndex(t *testing.T) {
 	e := New(Options{Workers: 4, Metrics: obs.NewRegistry()})
 	var firstMsg string
 	for trial := 0; trial < 3; trial++ {
-		preds, err := e.EvaluateAll(tasks)
+		preds, err := e.EvaluateAllCtx(context.Background(), tasks)
 		if err == nil {
 			t.Fatal("invalid task must fail the batch")
 		}
@@ -229,17 +230,17 @@ func TestSharedEngine(t *testing.T) {
 func TestMeanRTs(t *testing.T) {
 	tasks := testGrid()[:4]
 	e := New(Options{Metrics: obs.NewRegistry()})
-	preds, err := e.EvaluateAll(tasks)
+	preds, err := e.EvaluateAllCtx(context.Background(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts, err := e.MeanRTs(tasks)
+	rts, err := e.MeanRTsCtx(context.Background(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range tasks {
 		if math.Float64bits(rts[i]) != math.Float64bits(preds[i].MeanRT) {
-			t.Fatalf("MeanRTs[%d] != EvaluateAll mean", i)
+			t.Fatalf("MeanRTsCtx[%d] != EvaluateAllCtx mean", i)
 		}
 	}
 }

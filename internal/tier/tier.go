@@ -25,6 +25,7 @@
 package tier
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -637,7 +638,7 @@ func (e *Estimator) EstimateAll(tasks []sweep.Task) ([]queuesim.Prediction, []De
 			}
 		}
 		if len(shortable) > 0 {
-			subPreds, err := e.eng.EvaluateAll(subTasks)
+			subPreds, err := e.eng.EvaluateAllCtx(context.Background(), subTasks)
 			for k, i := range shortable {
 				if err != nil {
 					// Re-resolve serially; Estimate keeps per-task
@@ -681,7 +682,7 @@ func (e *Estimator) EstimateAll(tasks []sweep.Task) ([]queuesim.Prediction, []De
 		for k, i := range escalate {
 			fullTasks[k] = tasks[i]
 		}
-		fullPreds, err := e.eng.EvaluateAll(fullTasks)
+		fullPreds, err := e.eng.EvaluateAllCtx(context.Background(), fullTasks)
 		if firstErr == nil {
 			firstErr = err
 		}
