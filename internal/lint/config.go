@@ -91,8 +91,8 @@ func DefaultConfig() *Config {
 			"internal/queuesim",
 			"internal/online",
 			"internal/fault",
-			// The serving daemon: tenant workers and the snapshot loop
-			// all hang off the server context. (Not a deterministic
+			// The serving daemon: the snapshot loop and every wait for
+			// a tenant's turn hang off the server context. (Not a deterministic
 			// package — sprintd lives on the wall clock.)
 			"internal/server",
 		},

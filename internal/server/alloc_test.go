@@ -6,7 +6,7 @@ import (
 )
 
 // TestTenantDecideZeroAllocs gates the serving hot path: a steady-state
-// decision (cached controller decision, pooled op, bounded ledger)
+// decision (cached controller decision, one turn, bounded ledger)
 // must not allocate. This is what keeps tens of thousands of
 // decisions per second GC-quiet.
 func TestTenantDecideZeroAllocs(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkServeDecideDirect measures the in-process serving hot path:
-// pooled op, queue rendezvous with the tenant worker, cached controller
-// decision, bounded ledger append. This is the decisions/sec ceiling
+// admission, taking and giving back the tenant's turn, cached
+// controller decision, bounded ledger append. This is the decisions/sec ceiling
 // before HTTP costs.
 func BenchmarkServeDecideDirect(b *testing.B) {
 	s := benchServer(b)
@@ -46,7 +46,7 @@ func BenchmarkServeObserveDirect(b *testing.B) {
 }
 
 // BenchmarkServeDecideHTTP measures a full client round trip through
-// the HTTP surface with no retries: JSON in, admission, tenant queue,
+// the HTTP surface with no retries: JSON in, admission, tenant turn,
 // JSON out.
 func BenchmarkServeDecideHTTP(b *testing.B) {
 	s := benchServer(b)
@@ -72,7 +72,7 @@ func BenchmarkServeDecideHTTP(b *testing.B) {
 func BenchmarkServeShedHTTP(b *testing.B) {
 	s := benchServer(b)
 	// Exhaust the global in-flight valve so every request sheds at the
-	// front door without touching a tenant queue.
+	// front door without touching a tenant.
 	for i := 0; i < cap(s.sem); i++ {
 		s.sem <- struct{}{}
 	}

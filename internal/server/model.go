@@ -20,8 +20,8 @@ import (
 // fault switches so chaos tests and the /v1/fault endpoint can script
 // a diverged fit (bias), an outage (fail), a crashing model (panic) or
 // a wedged one (delay) against a live tenant without restarting it.
-// All switches are atomic: the tenant worker reads them while the test
-// or fault endpoint flips them. The happy path allocates nothing.
+// All switches are atomic: the caller holding the tenant's turn reads
+// them while the test or fault endpoint flips them. The happy path allocates nothing.
 type SurfaceModel struct {
 	name            string
 	mu, gain, sweet float64
@@ -38,8 +38,8 @@ type SurfaceModel struct {
 	// still accounts for the query (and escalates honestly near
 	// saturation). The cached task keeps steady-state predictions —
 	// the same (rate, timeout) operating point decision after decision
-	// — allocation-free; it is touched only by the tenant worker
-	// goroutine that owns Predict, like the controller itself.
+	// — allocation-free; it is touched only by the caller holding the
+	// tenant's turn, like the controller itself.
 	est        *tier.Estimator
 	taskLambda uint64 // Float64bits of the cached task's arrival rate
 	taskMuEff  uint64 // Float64bits of the cached task's service rate

@@ -2,8 +2,9 @@
 // multi-tenant policy-serving daemon over the online degradation
 // plane. Each tenant is an isolated bulkhead — its own model chain,
 // fallback controller, circuit breaker, decision ledger and metrics
-// registry behind a bounded admission queue owned by one worker
-// goroutine — so one misbehaving tenant sheds its own load and cannot
+// registry. Callers take turns on the controller through a one-token
+// channel, in their own goroutines, and only a bounded number may wait
+// for a turn — so one misbehaving tenant sheds its own load and cannot
 // stall, starve or crash the rest. Tenant state snapshots to disk
 // periodically and on drain; a restarted daemon restores it and
 // continues the decision stream bit-identically (asserted by ledger
@@ -33,7 +34,7 @@ type Options struct {
 	Tenants []TenantConfig
 	// MaxInFlight bounds concurrently admitted requests across all
 	// tenants (default 256) — the global overload valve in front of the
-	// per-tenant queues.
+	// per-tenant admission bounds.
 	MaxInFlight int
 	// SnapshotPath, when set, enables crash safety: state is restored
 	// from it at startup, persisted every SnapshotEvery (default 5s)
@@ -68,6 +69,7 @@ type serverMetrics struct {
 	requests     *obs.Counter
 	shedInFlight *obs.Counter
 	shedTenant   *obs.Counter
+	badRequests  *obs.Counter
 	snapshots    *obs.Counter
 	snapshotErrs *obs.Counter
 	reloads      *obs.Counter
@@ -101,7 +103,7 @@ type Server struct {
 }
 
 // New builds the tenant set (restoring from the snapshot path when one
-// exists), starts the workers and the snapshot loop, and marks the
+// exists), starts the tenants and the snapshot loop, and marks the
 // server ready. ctx bounds every background goroutine: canceling it is
 // the crash-style stop the snapshot protects against — use Drain for
 // the graceful path.
@@ -121,6 +123,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 			requests:     reg.Counter("mdsprint_serve_requests_total", "requests admitted past the global valve"),
 			shedInFlight: reg.Counter("mdsprint_serve_shed_inflight_total", "requests shed by the global in-flight valve"),
 			shedTenant:   reg.Counter("mdsprint_serve_shed_tenant_total", "requests shed by a tenant (queue full, stalled, draining)"),
+			badRequests:  reg.Counter("mdsprint_serve_bad_request_total", "decide and observe requests answered 400 (bad body, or a number that is not finite and positive)"),
 			snapshots:    reg.Counter("mdsprint_serve_snapshots_total", "state snapshots persisted"),
 			snapshotErrs: reg.Counter("mdsprint_serve_snapshot_errors_total", "state snapshots that failed to persist"),
 			reloads:      reg.Counter("mdsprint_serve_reloads_total", "hot reloads applied"),
@@ -137,7 +140,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		}
 	}
 	for _, cfg := range opts.Tenants {
-		t, err := newTenant(cfg)
+		t, err := newTenant(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +159,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		s.tenants[t.cfg.Name] = t
 	}
 	for _, t := range s.tenants {
-		t.start(ctx)
+		t.start()
 	}
 	s.snapStop = make(chan struct{})
 	s.snapDone = make(chan struct{})
@@ -240,8 +243,9 @@ func (s *Server) lookup(name string) (*tenant, bool) {
 	return t, ok
 }
 
-// Drain is the graceful SIGTERM path: stop admitting, drain every
-// tenant's queued work, take the final snapshot. Bounded by ctx.
+// Drain is the graceful SIGTERM path: stop admitting, let every
+// tenant serve the callers it already admitted, take the final
+// snapshot. Bounded by ctx.
 func (s *Server) Drain(ctx context.Context) error {
 	s.ready.Store(false)
 	s.draining.Store(true)
@@ -265,18 +269,19 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Reload hot-swaps the tenant set without dropping requests. For each
-// reloaded tenant: build the replacement (worker unstarted — its queue
-// accepts and buffers immediately), swap it into the routing map, drain
-// the old worker, carry the old state over, then start the new worker
-// on the buffered backlog. Tenants absent from the new set are drained
-// and removed; new names are added.
+// reloaded tenant: build the replacement (unstarted — it admits callers
+// and holds them waiting), swap it into the routing map, point the old
+// tenant at it so callers the old one refuses while draining move on,
+// drain the old tenant, carry its state over, then start the
+// replacement on the callers waiting for it. Tenants absent from the
+// new set are drained and removed; new names are added.
 func (s *Server) Reload(ctx context.Context, cfgs []TenantConfig) error {
 	if len(cfgs) == 0 {
 		return fmt.Errorf("server: reload needs at least one tenant")
 	}
 	fresh := make(map[string]*tenant, len(cfgs))
 	for _, cfg := range cfgs {
-		t, err := newTenant(cfg)
+		t, err := newTenant(s.runCtx, cfg)
 		if err != nil {
 			return err
 		}
@@ -298,13 +303,14 @@ func (s *Server) Reload(ctx context.Context, cfgs []TenantConfig) error {
 	for name, nt := range fresh {
 		ot, existed := old[name]
 		if !existed {
-			nt.start(s.runCtx)
+			nt.start()
 			continue
 		}
+		ot.next.Store(nt)
 		if err := ot.stop(ctx); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		snap, err := ot.Snapshot(ctx) // worker exited: direct read
+		snap, err := ot.Snapshot(ctx) // stopped: direct read
 		if err == nil {
 			if rerr := nt.restore(snap); rerr != nil {
 				s.opts.Logf("server: reload: tenant %s starts fresh: %v", name, rerr)
@@ -312,7 +318,7 @@ func (s *Server) Reload(ctx context.Context, cfgs []TenantConfig) error {
 		} else if firstErr == nil {
 			firstErr = err
 		}
-		nt.start(s.runCtx)
+		nt.start()
 	}
 	for name, ot := range old {
 		if _, kept := fresh[name]; !kept {
@@ -342,7 +348,7 @@ func (s *Server) Health() obs.Health {
 		if t.stalled() {
 			probs = append(probs, obs.Problem{
 				Check: t.cfg.Name + "/tenant-stalled", Severity: obs.SeverityCritical,
-				Detail: fmt.Sprintf("worker stuck in one operation beyond the %s stall budget", t.cfg.StallAfter),
+				Detail: fmt.Sprintf("tenant stuck in one operation beyond the %s stall budget", t.cfg.StallAfter),
 				Value:  1, Threshold: 0,
 			})
 		}
@@ -493,6 +499,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	var req DecideRequest
 	if !decodeJSON(w, r, &req) || !positive(w, "rate", req.Rate) {
+		s.m.badRequests.Inc()
 		return
 	}
 	t, ok := s.lookup(req.Tenant)
@@ -523,6 +530,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	var req ObserveRequest
 	if !decodeJSON(w, r, &req) || !positive(w, "rate", req.Rate) || !positive(w, "observed_rt", req.Observed) {
+		s.m.badRequests.Inc()
 		return
 	}
 	t, ok := s.lookup(req.Tenant)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -94,15 +95,19 @@ func TestBadNumericInputIs400(t *testing.T) {
 	defer srv.Close()
 	tn, _ := s.lookup("alpha")
 	errsBefore, _ := tn.reg.Value("mdsprint_serve_decision_errors_total")
+	decisionsBefore, _ := tn.reg.Value("mdsprint_serve_decisions_total")
 
-	for _, tc := range []struct{ path, body string }{
+	cases := []struct{ path, body string }{
+		{"/v1/decide", `{"tenant":"alpha","rate":`},
+		{"/v1/observe", `not json`},
 		{"/v1/decide", `{"tenant":"alpha","rate":0}`},
 		{"/v1/decide", `{"tenant":"alpha","rate":-1}`},
 		{"/v1/observe", `{"tenant":"alpha","rate":0,"observed_rt":2}`},
 		{"/v1/observe", `{"tenant":"alpha","rate":-1,"observed_rt":2}`},
 		{"/v1/observe", `{"tenant":"alpha","rate":0.6,"observed_rt":0}`},
 		{"/v1/observe", `{"tenant":"alpha","rate":0.6,"observed_rt":-1}`},
-	} {
+	}
+	for _, tc := range cases {
 		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("POST %s %s: %v", tc.path, tc.body, err)
@@ -117,6 +122,12 @@ func TestBadNumericInputIs400(t *testing.T) {
 	}
 	if errs, _ := tn.reg.Value("mdsprint_serve_decision_errors_total"); errs != errsBefore {
 		t.Fatalf("decision errors %v -> %v on rejected input", errsBefore, errs)
+	}
+	if got, _ := tn.reg.Value("mdsprint_serve_decisions_total"); got != decisionsBefore {
+		t.Fatalf("decisions %v -> %v on rejected input", decisionsBefore, got)
+	}
+	if got, _ := s.reg.Value("mdsprint_serve_bad_request_total"); got != float64(len(cases)) {
+		t.Fatalf("bad request counter %v, want %d", got, len(cases))
 	}
 
 	resp, err := http.Post(srv.URL+"/v1/decide", "application/json",
@@ -468,5 +479,143 @@ func TestMetricsEndpointScopes(t *testing.T) {
 	code, _ = get(srv.URL + "/metrics?tenant=zzz")
 	if code != 404 {
 		t.Fatalf("unknown tenant metrics: %d, want 404", code)
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 5s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// wedge starts a decide on a fresh tenant whose model sleeps d per
+// prediction, and returns once that decide holds the tenant's turn.
+// The returned channel closes when the wedged decide returns.
+func wedge(t *testing.T, tn *tenant, d time.Duration) <-chan struct{} {
+	t.Helper()
+	tn.primary.SetDelay(d)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		//lint:ignore errdrop the wedged decide's outcome is irrelevant; the turn it holds is the test
+		_, _, _ = tn.Decide(context.Background(), 0.5)
+	}()
+	waitUntil(t, "the wedged decide to take the turn", func() bool { return tn.primary.Predicts() > 0 })
+	return done
+}
+
+func TestDrainServesAdmittedAndShedsLater(t *testing.T) {
+	s := newTestServer(t, Options{Tenants: []TenantConfig{
+		{Name: "a", AnnealIter: 15, StallAfter: time.Minute},
+	}})
+	tn, _ := s.lookup("a")
+	wedged := wedge(t, tn, 50*time.Millisecond)
+
+	const waiting = 3
+	errc := make(chan error, waiting)
+	for i := 0; i < waiting; i++ {
+		go func() {
+			_, _, err := tn.Decide(context.Background(), 0.5)
+			errc <- err
+		}()
+	}
+	waitUntil(t, "the waiters to be admitted", func() bool { return tn.admitted.Load() == 1+waiting })
+
+	drained := make(chan error, 1)
+	go func() {
+		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		drained <- s.Drain(dctx)
+	}()
+	waitUntil(t, "the tenant to start draining", tn.draining.Load)
+	if _, _, err := tn.Decide(context.Background(), 0.5); err != ErrDraining {
+		t.Fatalf("decide after drain began: %v, want ErrDraining", err)
+	}
+
+	tn.primary.SetDelay(0)
+	<-wedged
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	for i := 0; i < waiting; i++ {
+		if err := <-errc; err != nil {
+			t.Fatalf("decide admitted before the drain: %v, want it served", err)
+		}
+	}
+	if got, _ := tn.reg.Value("mdsprint_serve_decisions_total"); got != 1+waiting {
+		t.Fatalf("decisions %v, want %d (the wedged one and every waiter)", got, 1+waiting)
+	}
+}
+
+func TestDeadlineWhileWaitingForTurn(t *testing.T) {
+	s := newTestServer(t, Options{Tenants: []TenantConfig{
+		{Name: "a", AnnealIter: 15, StallAfter: time.Minute},
+	}})
+	tn, _ := s.lookup("a")
+	wedged := wedge(t, tn, 200*time.Millisecond)
+	defer func() {
+		tn.primary.SetDelay(0)
+		<-wedged
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, _, err := tn.Decide(ctx, 0.5)
+	select {
+	case <-wedged:
+		t.Fatal("the waiter returned only after the wedged decide ended")
+	default:
+	}
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("decide whose deadline expired while waiting: %v, want ErrDeadline", err)
+	}
+	if status, shed := shedStatus(err); !shed || status != http.StatusServiceUnavailable {
+		t.Fatalf("shedStatus(%v) = %d, %v; want 503", err, status, shed)
+	}
+	if got, _ := tn.reg.Value("mdsprint_serve_shed_deadline_total"); got != 1 {
+		t.Fatalf("shed-deadline counter %v, want 1", got)
+	}
+}
+
+func TestSnapshotNowSkipsStalledTenant(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.json")
+	s := newTestServer(t, Options{
+		Tenants: []TenantConfig{
+			{Name: "fine", AnnealIter: 15},
+			{Name: "wedged", AnnealIter: 15, StallAfter: 30 * time.Millisecond},
+		},
+		SnapshotPath:  path,
+		SnapshotEvery: time.Minute,
+	})
+	tn, _ := s.lookup("wedged")
+	wedged := wedge(t, tn, 300*time.Millisecond)
+	defer func() {
+		tn.primary.SetDelay(0)
+		<-wedged
+	}()
+	waitUntil(t, "the tenant to stall", tn.stalled)
+
+	start := time.Now()
+	if err := s.SnapshotNow(context.Background()); err != nil {
+		t.Fatalf("SnapshotNow: %v", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("SnapshotNow took %v: it waited on the stalled tenant", took)
+	}
+	snap, ok, err := ReadSnapshot(path)
+	if err != nil || !ok {
+		t.Fatalf("ReadSnapshot: ok=%v err=%v", ok, err)
+	}
+	if _, ok := snap.Tenants["fine"]; !ok {
+		t.Fatal("snapshot missed the healthy tenant")
+	}
+	if _, ok := snap.Tenants["wedged"]; ok {
+		t.Fatal("snapshot captured the stalled tenant")
 	}
 }

@@ -113,7 +113,10 @@ func TestDaemonSoak(t *testing.T) {
 	}
 
 	// Overload burst against alpha's 8-deep queue: wedge its model
-	// briefly and flood; the daemon must shed with 429/503, fast.
+	// briefly and flood; the daemon must shed with 429/503, fast. The
+	// burst rate sits outside the retune threshold of every worker rate
+	// (0.4–0.64), so its decides retune and hit the scripted delay
+	// instead of riding the cached decision.
 	if err := admin.Fault(ctx, FaultRequest{Tenant: "alpha", Mode: "delay", Value: 0.05}); err != nil {
 		t.Fatalf("scripting alpha delay: %v", err)
 	}
@@ -124,7 +127,7 @@ func TestDaemonSoak(t *testing.T) {
 		go func() {
 			defer burst.Done()
 			resp, err := http.Post(srv.URL+"/v1/decide", "application/json",
-				strings.NewReader(`{"tenant":"alpha","rate":0.5}`))
+				strings.NewReader(`{"tenant":"alpha","rate":0.9}`))
 			if err != nil {
 				return
 			}

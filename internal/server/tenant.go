@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -20,16 +20,17 @@ import (
 // tenant's own backpressure (429, retry soon), everything else is the
 // server protecting itself (503).
 var (
-	// ErrQueueFull means the tenant's admission queue is at capacity.
+	// ErrQueueFull means QueueDepth callers already wait for the tenant.
 	ErrQueueFull = errors.New("server: tenant queue full")
-	// ErrStalled means the tenant's worker has been stuck inside one
-	// operation longer than the stall budget — likely a wedged model.
+	// ErrStalled means the tenant's current turn has been stuck inside
+	// one operation longer than the stall budget — likely a wedged model.
 	ErrStalled = errors.New("server: tenant stalled")
 	// ErrDraining means the tenant is shutting down or being reloaded.
 	ErrDraining = errors.New("server: tenant draining")
-	// ErrStopped means the tenant's worker has exited.
+	// ErrStopped means the server's lifetime ended while the request
+	// waited for its turn.
 	ErrStopped = errors.New("server: tenant stopped")
-	// ErrDeadline means the request's deadline expired while queued.
+	// ErrDeadline means the request's deadline expired before its turn.
 	ErrDeadline = errors.New("server: deadline expired in queue")
 )
 
@@ -51,8 +52,9 @@ type TenantConfig struct {
 	AnnealIter      int     `json:"anneal_iter"`
 	Seed            uint64  `json:"seed"`
 	RetuneThreshold float64 `json:"retune_threshold"`
-	// QueueDepth bounds the admission queue (default 64): the bulkhead
-	// between a slow tenant and the process's memory.
+	// QueueDepth bounds how many callers may wait behind the running
+	// one (default 64): the bulkhead between a slow tenant and the
+	// process's memory.
 	QueueDepth int `json:"queue_depth"`
 	// LedgerCap bounds the in-memory decision ledger ring (default 4096).
 	LedgerCap int `json:"ledger_cap"`
@@ -108,34 +110,6 @@ func (c TenantConfig) withDefaults() TenantConfig {
 	return c
 }
 
-// opKind selects what a queued operation does.
-type opKind int
-
-const (
-	opDecide opKind = iota
-	opObserve
-	opState
-)
-
-// op is one unit of tenant work. Ops rendezvous through the admission
-// queue to the single worker goroutine that owns the controller; the
-// ready channel (capacity 1, so the worker never blocks on a departed
-// caller) carries completion. Ops are pooled — an op is returned to
-// the pool only by a caller that actually received its completion, so
-// an abandoned op is simply garbage, never reused while in flight.
-type op struct {
-	kind     opKind
-	ctx      context.Context
-	rate     float64
-	observed float64
-
-	timeout float64
-	level   online.Level
-	state   TenantSnapshot
-	err     error
-	ready   chan struct{}
-}
-
 // tenantMetrics are the serving-plane counters, scoped to the tenant's
 // own registry next to its controller metrics.
 type tenantMetrics struct {
@@ -148,10 +122,13 @@ type tenantMetrics struct {
 }
 
 // tenant is one isolated serving unit: its own model chain, fallback
-// controller, breaker, ledger and metrics registry, owned by a single
-// worker goroutine. The bounded queue in front of the worker is both
-// the admission-control point and the bulkhead: a misbehaving tenant
-// fills its own queue and sheds its own load, and nothing else.
+// controller, breaker, ledger and metrics registry. The controller is
+// not safe for concurrent use, so callers take turns on it: turn holds
+// a single token, and only the caller holding it touches the
+// controller, in the caller's own goroutine. The admitted count bounds
+// how many may wait for the token, which makes it both the
+// admission-control point and the bulkhead: a misbehaving tenant
+// sheds its own load, and nothing else.
 type tenant struct {
 	cfg      TenantConfig
 	reg      *obs.Registry
@@ -162,22 +139,23 @@ type tenant struct {
 	fallback *SurfaceModel
 	tiers    *tier.Estimator // nil unless TierSpec is configured
 
-	queue    chan *op
-	stopC    chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	life     context.Context // the server's lifetime
+	turn     chan struct{}   // capacity 1; holding its token owns the controller
+	admitted atomic.Int64    // callers holding or waiting for the turn
+	stopped  chan struct{}   // closed once stop keeps the token for good
 	draining atomic.Bool
-	busyAt   atomic.Int64 // start of the op in progress (unix nanos); 0 idle
+	busyAt   atomic.Int64           // start of the turn in progress (unix nanos); 0 idle
+	next     atomic.Pointer[tenant] // the replacement a reload swapped in
 
-	pool sync.Pool
-	m    tenantMetrics
+	m tenantMetrics
 }
 
-// newTenant builds a tenant with its worker not yet started: the queue
-// accepts (and buffers) work immediately, which is what lets a hot
-// reload swap a tenant in, restore state into it, and only then start
-// serving — without dropping the requests that arrived in between.
-func newTenant(cfg TenantConfig) (*tenant, error) {
+// newTenant builds a tenant whose turn token is not yet issued: callers
+// are admitted and wait, which is what lets a hot reload swap a tenant
+// in, restore state into it, and only then start serving — without
+// dropping or racing the requests that arrived in between. ctx is the
+// server's lifetime: when it ends, waiting callers give up.
+func newTenant(ctx context.Context, cfg TenantConfig) (*tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("server: tenant needs a name")
 	}
@@ -225,240 +203,198 @@ func newTenant(cfg TenantConfig) (*tenant, error) {
 	t := &tenant{
 		cfg: cfg, reg: reg, fc: fc, breaker: breaker, ledger: ledger,
 		primary: primary, fallback: fallback, tiers: est,
-		queue: make(chan *op, cfg.QueueDepth),
-		stopC: make(chan struct{}),
-		done:  make(chan struct{}),
+		life: ctx, turn: make(chan struct{}, 1), stopped: make(chan struct{}),
 		m: tenantMetrics{
 			decideOK:  reg.Counter("mdsprint_serve_decisions_total", "decisions served"),
 			decideErr: reg.Counter("mdsprint_serve_decision_errors_total", "decisions that failed"),
 			observes:  reg.Counter("mdsprint_serve_observations_total", "observations fed to the watchdogs"),
 			panics:    reg.Counter("mdsprint_serve_panics_total", "decision-path panics recovered by the bulkhead"),
 			shedFull:  reg.Counter("mdsprint_serve_shed_queue_full_total", "requests shed because the tenant queue was full"),
-			shedLate:  reg.Counter("mdsprint_serve_shed_deadline_total", "queued requests dropped because their deadline expired"),
+			shedLate:  reg.Counter("mdsprint_serve_shed_deadline_total", "waiting requests whose deadline expired before their turn"),
 		},
 	}
-	t.pool.New = func() any { return &op{ready: make(chan struct{}, 1)} }
 	return t, nil
 }
 
-// start launches the worker. The ctx is the server's lifetime: when it
-// ends the worker hard-stops, abandoning queued work (callers observe
-// ErrStopped via the done channel).
-func (t *tenant) start(ctx context.Context) {
-	go t.run(ctx)
-}
+// start issues the turn token: the tenant begins serving.
+func (t *tenant) start() { t.turn <- struct{}{} }
 
-// run is the worker loop: the only goroutine that ever touches the
-// fallback controller, so the controller needs no locking. A stop
-// request drains the queue before exiting (graceful); ctx cancellation
-// exits immediately (crash-style, what the snapshot is for).
-func (t *tenant) run(ctx context.Context) {
-	defer close(t.done)
-	for {
-		select {
-		case o := <-t.queue:
-			t.serve(o)
-		case <-t.stopC:
-			for {
-				select {
-				case o := <-t.queue:
-					t.serve(o)
-				default:
-					return
-				}
-			}
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// stop asks the worker to drain and waits for it, bounded by ctx.
+// stop drains the tenant, bounded by ctx: new callers are refused with
+// ErrDraining, every admitted caller still gets its turn, and then stop
+// keeps the token for good and closes stopped, after which Snapshot
+// reads the state directly.
 func (t *tenant) stop(ctx context.Context) error {
 	t.draining.Store(true)
-	t.stopOnce.Do(func() { close(t.stopC) })
-	select {
-	case <-t.done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("server: tenant %s: drain: %w", t.cfg.Name, ctx.Err())
+	for {
+		select {
+		case <-t.turn:
+		case <-t.stopped:
+			return nil
+		case <-ctx.Done():
+			return fmt.Errorf("server: tenant %s: drain: %w", t.cfg.Name, ctx.Err())
+		}
+		if t.admitted.Load() == 0 {
+			close(t.stopped)
+			return nil
+		}
+		// Someone admitted is still waiting: hand the token on and queue
+		// up behind them.
+		t.turn <- struct{}{}
+		runtime.Gosched()
 	}
 }
 
-// serve executes one op and signals its caller. The ready channel has
-// capacity 1, so a caller that already gave up never blocks the worker.
-func (t *tenant) serve(o *op) {
-	t.busyAt.Store(time.Now().UnixNano())
-	o.err = t.apply(o)
-	t.busyAt.Store(0)
-	o.ready <- struct{}{}
-}
-
-// apply is the op body, with the bulkhead's panic recovery: a panicking
-// model costs the tenant a demotion (crashing is worse evidence than
-// erring) and fails only this op — never the worker, never the process.
-func (t *tenant) apply(o *op) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.m.panics.Inc()
-			t.fc.Demote()
-			err = fmt.Errorf("server: tenant %s: recovered decision-path panic: %v", t.cfg.Name, r)
-		}
-	}()
-	if o.ctx != nil {
-		if cerr := o.ctx.Err(); cerr != nil {
-			t.m.shedLate.Inc()
-			return ErrDeadline
-		}
-	}
-	switch o.kind {
-	case opDecide:
-		to, derr := t.fc.TimeoutCtx(o.ctx, o.rate)
-		if derr != nil {
-			t.m.decideErr.Inc()
-			return derr
-		}
-		o.timeout = to
-		o.level = t.fc.Level()
-		t.m.decideOK.Inc()
-	case opObserve:
-		t.fc.Observe(o.rate, o.observed)
-		t.m.observes.Inc()
-	case opState:
-		demotions, promotions := t.fc.Counts()
-		o.state = TenantSnapshot{
-			Config:     t.cfg,
-			Fallback:   t.fc.State(),
-			Breaker:    t.breaker.Snapshot(),
-			Ledger:     t.ledger.State(),
-			Demotions:  demotions,
-			Promotions: promotions,
-		}
-	}
-	return nil
-}
-
-// stalled reports whether the worker has been inside one op longer
-// than the stall budget.
+// stalled reports whether the turn holder has been inside one operation
+// longer than the stall budget.
 func (t *tenant) stalled() bool {
 	at := t.busyAt.Load()
 	return at != 0 && time.Since(time.Unix(0, at)) > t.cfg.StallAfter
 }
 
-// submit enqueues an op, shedding instead of blocking: the queue is a
-// bulkhead, not a buffer of unbounded patience.
-func (t *tenant) submit(o *op) error {
-	if t.draining.Load() {
-		return ErrDraining
-	}
-	if t.stalled() {
-		return ErrStalled
-	}
-	select {
-	case t.queue <- o:
-		return nil
-	default:
+// enter admits a caller and waits for its turn, shedding instead of
+// queueing without bound: the wait is a bulkhead, not a buffer of
+// unbounded patience. The admitted count goes up before the draining
+// check, so a stop that finds it at zero has refused everyone after.
+func (t *tenant) enter(ctx context.Context) error {
+	n := t.admitted.Add(1)
+	var err error
+	switch {
+	case t.draining.Load():
+		err = ErrDraining
+	case t.stalled():
+		err = ErrStalled
+	case n > int64(t.cfg.QueueDepth)+1: // QueueDepth waiting behind the one running
 		t.m.shedFull.Inc()
-		return ErrQueueFull
+		err = ErrQueueFull
+	default:
+		return t.wait(ctx)
 	}
-}
-
-// await waits for a submitted op, bounded by the caller's ctx and the
-// worker's lifetime. Only a caller that actually rendezvoused returns
-// the op to the pool; an abandoned op is left to the collector.
-func (t *tenant) await(ctx context.Context, o *op) (ok bool, err error) {
-	select {
-	case <-o.ready:
-		return true, o.err
-	case <-ctx.Done():
-		return false, ctx.Err()
-	case <-t.done:
-		return false, ErrStopped
-	}
-}
-
-// Decide routes one decision through the tenant's worker and returns
-// the selected timeout and the tier that answered. Steady-state (a
-// cached decision, no faults) this path performs zero allocations.
-func (t *tenant) Decide(ctx context.Context, rate float64) (timeout float64, level online.Level, err error) {
-	o := t.pool.Get().(*op)
-	o.kind, o.ctx, o.rate = opDecide, ctx, rate
-	if err := t.submit(o); err != nil {
-		t.pool.Put(o)
-		return 0, 0, err
-	}
-	ok, err := t.await(ctx, o)
-	if !ok {
-		return 0, 0, err
-	}
-	timeout, level = o.timeout, o.level
-	o.ctx = nil
-	t.pool.Put(o)
-	return timeout, level, err
-}
-
-// ObserveRT feeds one observed response time into the tenant's health
-// watchdogs, through the same queue as decisions.
-func (t *tenant) ObserveRT(ctx context.Context, rate, observed float64) error {
-	o := t.pool.Get().(*op)
-	o.kind, o.ctx, o.rate, o.observed = opObserve, ctx, rate, observed
-	if err := t.submit(o); err != nil {
-		t.pool.Put(o)
-		return err
-	}
-	ok, err := t.await(ctx, o)
-	if !ok {
-		return err
-	}
-	o.ctx = nil
-	t.pool.Put(o)
+	t.admitted.Add(-1)
 	return err
 }
 
-// Snapshot captures the tenant's full crash-safety state through the
-// worker queue, so the capture is consistent with the decision stream.
-// After the worker has exited (post-drain) it reads directly — the
-// worker is gone, so nothing races.
-func (t *tenant) Snapshot(ctx context.Context) (TenantSnapshot, error) {
+// wait takes the turn for an admitted caller, bounded by the caller's
+// ctx and the server's lifetime. An uncontended turn is one channel
+// receive.
+func (t *tenant) wait(ctx context.Context) error {
 	select {
-	case <-t.done:
-		demotions, promotions := t.fc.Counts()
-		return TenantSnapshot{
-			Config:     t.cfg,
-			Fallback:   t.fc.State(),
-			Breaker:    t.breaker.Snapshot(),
-			Ledger:     t.ledger.State(),
-			Demotions:  demotions,
-			Promotions: promotions,
-		}, nil
+	case <-t.turn:
 	default:
-	}
-	o := t.pool.Get().(*op)
-	o.kind, o.ctx = opState, ctx
-	if err := t.submit(o); err != nil && err != ErrDraining {
-		t.pool.Put(o)
-		return TenantSnapshot{}, err
-	} else if err == ErrDraining {
-		// Draining still serves queued ops; bypass the admission check so
-		// the final pre-exit snapshot can ride the queue.
 		select {
-		case t.queue <- o:
-		default:
-			t.pool.Put(o)
-			return TenantSnapshot{}, ErrQueueFull
+		case <-t.turn:
+		case <-ctx.Done():
+			t.admitted.Add(-1)
+			t.m.shedLate.Inc()
+			return ErrDeadline
+		case <-t.life.Done():
+			t.admitted.Add(-1)
+			return ErrStopped
+		case <-t.stopped:
+			t.admitted.Add(-1)
+			return ErrDraining
 		}
 	}
-	ok, err := t.await(ctx, o)
-	if !ok {
-		return TenantSnapshot{}, err
+	if ctx.Err() != nil {
+		t.leave()
+		t.m.shedLate.Inc()
+		return ErrDeadline
 	}
-	snap := o.state
-	o.ctx, o.state = nil, TenantSnapshot{}
-	t.pool.Put(o)
-	return snap, err
+	t.busyAt.Store(time.Now().UnixNano())
+	return nil
 }
 
-// restore loads a snapshot into a tenant whose worker has not started.
+// leave gives the turn back.
+func (t *tenant) leave() {
+	t.busyAt.Store(0)
+	t.admitted.Add(-1)
+	t.turn <- struct{}{}
+}
+
+// guard ends a turn, deferred by every operation. It is the bulkhead's
+// panic recovery: a panicking model costs the tenant a demotion
+// (crashing is worse evidence than erring) and fails only this
+// operation — never the tenant, never the process.
+func (t *tenant) guard(err *error) {
+	if r := recover(); r != nil {
+		t.m.panics.Inc()
+		t.fc.Demote()
+		*err = fmt.Errorf("server: tenant %s: recovered decision-path panic: %v", t.cfg.Name, r)
+	}
+	t.leave()
+}
+
+// Decide runs one decision on the tenant's controller and returns the
+// selected timeout and the tier that answered. Steady-state (a cached
+// decision, no faults) this path performs zero allocations. A tenant
+// that a reload replaced passes the callers it refuses to its
+// replacement.
+func (t *tenant) Decide(ctx context.Context, rate float64) (timeout float64, level online.Level, err error) {
+	if err := t.enter(ctx); err != nil {
+		if next := t.next.Load(); next != nil && err == ErrDraining {
+			return next.Decide(ctx, rate)
+		}
+		return 0, 0, err
+	}
+	defer t.guard(&err)
+	timeout, err = t.fc.TimeoutCtx(ctx, rate)
+	if err != nil {
+		t.m.decideErr.Inc()
+		return 0, 0, err
+	}
+	t.m.decideOK.Inc()
+	return timeout, t.fc.Level(), nil
+}
+
+// ObserveRT feeds one observed response time into the tenant's health
+// watchdogs, taking its turn like a decision.
+func (t *tenant) ObserveRT(ctx context.Context, rate, observed float64) (err error) {
+	if err := t.enter(ctx); err != nil {
+		if next := t.next.Load(); next != nil && err == ErrDraining {
+			return next.ObserveRT(ctx, rate, observed)
+		}
+		return err
+	}
+	defer t.guard(&err)
+	t.fc.Observe(rate, observed)
+	t.m.observes.Inc()
+	return nil
+}
+
+// Snapshot captures the tenant's full crash-safety state on a turn of
+// its own, so the capture is consistent with the decision stream. A
+// draining tenant still grants it a turn; a stopped one is read
+// directly, since stop holds the token and nothing races.
+func (t *tenant) Snapshot(ctx context.Context) (snap TenantSnapshot, err error) {
+	select {
+	case <-t.stopped:
+		return t.state(), nil
+	default:
+	}
+	if t.stalled() {
+		return TenantSnapshot{}, ErrStalled
+	}
+	t.admitted.Add(1)
+	if err := t.wait(ctx); err != nil {
+		return TenantSnapshot{}, err
+	}
+	defer t.guard(&err)
+	return t.state(), nil
+}
+
+// state reads the crash-safety state; the caller owns the controller.
+func (t *tenant) state() TenantSnapshot {
+	demotions, promotions := t.fc.Counts()
+	return TenantSnapshot{
+		Config:     t.cfg,
+		Fallback:   t.fc.State(),
+		Breaker:    t.breaker.Snapshot(),
+		Ledger:     t.ledger.State(),
+		Demotions:  demotions,
+		Promotions: promotions,
+	}
+}
+
+// restore loads a snapshot into a tenant that has not started.
 func (t *tenant) restore(snap TenantSnapshot) error {
 	if err := t.fc.Restore(snap.Fallback); err != nil {
 		return fmt.Errorf("server: tenant %s: %w", t.cfg.Name, err)
@@ -473,7 +409,7 @@ func (t *tenant) restore(snap TenantSnapshot) error {
 }
 
 // Level reads the tenant's degradation level from its metrics registry
-// (the worker owns the controller; the gauge is the lock-free view).
+// (the turn holder owns the controller; the gauge is the lock-free view).
 func (t *tenant) Level() online.Level {
 	lvl, _ := t.reg.Value("mdsprint_online_level")
 	return online.Level(int(lvl))

@@ -13,7 +13,7 @@ import (
 // mdsprint_tier_* metrics and whose per-decision provenance lands in
 // the ledger records.
 func TestTenantTierSpecWiring(t *testing.T) {
-	if _, err := newTenant(TenantConfig{Name: "bad", TierSpec: "bound=nope"}); err == nil {
+	if _, err := newTenant(context.Background(), TenantConfig{Name: "bad", TierSpec: "bound=nope"}); err == nil {
 		t.Fatal("bad TierSpec accepted")
 	}
 
