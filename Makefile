@@ -99,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDist$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadEvents$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeTraceExport$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadDataset$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzRateEstimator$$' -fuzztime 10s ./internal/online
 	$(GO) test -run '^$$' -fuzz '^FuzzRunDeterminism$$' -fuzztime 10s ./internal/queuesim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDiscipline$$' -fuzztime 10s ./internal/queuesim

@@ -51,6 +51,8 @@ func DefaultConfig() *Config {
 			"internal/queuesim/analytic",
 			"internal/queuesim/dispatch",
 			"internal/sim",
+			// The testbed's output is pinned by TestGoldenFingerprint.
+			"internal/testbed",
 			"internal/forest",
 			// The ANN baseline's trained weights are pinned bit for bit.
 			"internal/ann",

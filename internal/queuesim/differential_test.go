@@ -2,8 +2,8 @@ package queuesim
 
 // Differential equivalence suite: the pooled production engine
 // (queuesim.go on sim.PooledEngine) must produce bit-identical output to
-// the preserved heap-and-closure reference implementation (reference.go
-// on sim.Engine) — response-time and queueing-time vectors, every scalar
+// the preserved heap-and-closure reference implementation
+// (reference_test.go on refengine_test.go's refEngine) — response-time and queueing-time vectors, every scalar
 // in Result, and the full tracer event sequence — across policies, refill
 // modes, arrival processes and seeds. Nothing here tolerates epsilon:
 // the two implementations share the RNG draw order, the accountant call

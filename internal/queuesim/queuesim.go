@@ -27,8 +27,9 @@
 // Runner carries every buffer (including the RNG and budget accountant)
 // across runs. Steady state simulates a query with zero heap allocations
 // (enforced by TestRunnerZeroAllocsPerQuery). The original
-// heap-and-closure implementation is preserved in reference.go, and the
-// differential suite proves the two produce bit-identical results.
+// heap-and-closure implementation is preserved as a test oracle in
+// reference_test.go, and the differential suite proves the two produce
+// bit-identical results.
 package queuesim
 
 import (

@@ -1,24 +1,31 @@
+// Package sim provides the discrete-event simulation engine: a monotonic
+// virtual clock and a cancellable event queue. Both the ground-truth
+// testbed (internal/testbed) and the model-side queue simulator
+// (internal/queuesim) run on it.
+//
+// The paper's reference simulator (Algorithm 1) steps a microsecond-
+// resolution clock; scheduling events on a heap is semantically equivalent
+// (queuesim's tests cross-validate against a faithful tick-stepped
+// implementation) and orders of magnitude faster, which is what makes the
+// policy-space exploration of Section 4 practical.
+//
+// The engine allocates nothing per event, because the millions of
+// queuesim runs a policy search performs (Section 3.6) would otherwise be
+// dominated by allocation. Events live in a reusable slot pool addressed
+// by generation-checked Handles, callbacks are registered once per
+// consumer and invoked by CallbackID with an int32 argument (typically a
+// pooled-object index), and the priority queue is an index heap over the
+// slab. Steady-state scheduling, cancelling and firing perform zero heap
+// allocations.
+//
+// Events fire in (time, seq) order with seq assigned at Schedule time, so
+// same-time events fire in scheduling order; cancelled events are
+// unlinked eagerly and never fire. queuesim's tests keep the original
+// heap-and-closure engine as an oracle and check that both fire the same
+// events in the same order.
 package sim
 
 import "fmt"
-
-// This file is the allocation-free sibling of engine.go. The closure-based
-// Engine allocates one *Event plus one Action closure per scheduled event,
-// which is fine for the ground-truth testbed but dominates the cost of the
-// millions of queuesim runs a policy search performs (Section 3.6). The
-// PooledEngine replaces both allocations with a slab: events live in a
-// reusable slot pool addressed by generation-checked Handles, callbacks are
-// registered once per consumer and invoked by CallbackID with an int32
-// argument (typically a pooled-object index), and the priority queue is an
-// index heap over the slab. Steady-state scheduling, cancelling and firing
-// perform zero heap allocations.
-//
-// Semantics match Engine exactly: events fire in (time, seq) order with
-// seq assigned at Schedule time, so FIFO ties break identically; cancelled
-// events never fire. (Engine drops cancelled events lazily at the heap
-// top, the PooledEngine unlinks them eagerly — the set and order of fired
-// events is the same either way, which queuesim's differential suite
-// checks bit-for-bit.)
 
 // CallbackID names a callback registered with PooledEngine.Register.
 type CallbackID int32

@@ -3,9 +3,6 @@ package sim
 import (
 	"sort"
 	"testing"
-	"testing/quick"
-
-	"mdsprint/internal/dist"
 )
 
 // recorder wires a PooledEngine to a log of (arg, time) firings.
@@ -320,76 +317,6 @@ func TestPooledNilCallbackPanics(t *testing.T) {
 		}
 	}()
 	NewPooled().Register(nil)
-}
-
-// TestPooledMatchesEngineRandomized drives both engine implementations
-// through an identical randomized schedule/cancel/reschedule script and
-// requires the identical firing sequence — the engine-level differential
-// behind queuesim's end-to-end suite.
-func TestPooledMatchesEngineRandomized(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%80) + 5
-		rng := dist.NewRNG(seed)
-
-		type firing struct {
-			label int32
-			at    float64
-		}
-		var refFired, poolFired []firing
-
-		ref := New()
-		refEvents := make([]*Event, n)
-		pool := NewPooled()
-		poolCB := pool.Register(func(arg int32) {
-			poolFired = append(poolFired, firing{arg, pool.Now()})
-		})
-		poolHandles := make([]Handle, n)
-
-		for i := 0; i < n; i++ {
-			at := rng.Float64() * 100
-			label := int32(i)
-			refEvents[i] = ref.Schedule(at, func() {
-				refFired = append(refFired, firing{label, ref.Now()})
-			})
-			poolHandles[i] = pool.Schedule(at, poolCB, label)
-		}
-		// Cancel a third, reschedule a third (same indices on both).
-		// Cancelled indices are excluded from rescheduling: the lazy
-		// engine happily resurrects a cancelled event's action while the
-		// pooled engine's stale handle is a no-op — a divergence outside
-		// the supported contract (consumers only reschedule live events).
-		cancelled := make(map[int]bool)
-		for i := 0; i < n/3; i++ {
-			idx := rng.Intn(n)
-			cancelled[idx] = true
-			ref.Cancel(refEvents[idx])
-			pool.Cancel(poolHandles[idx])
-		}
-		for i := 0; i < n/3; i++ {
-			idx := rng.Intn(n)
-			at := rng.Float64() * 100
-			if cancelled[idx] {
-				continue
-			}
-			refEvents[idx] = ref.Reschedule(refEvents[idx], at)
-			poolHandles[idx] = pool.Reschedule(poolHandles[idx], at)
-		}
-		ref.RunAll()
-		pool.RunAll()
-
-		if len(refFired) != len(poolFired) {
-			return false
-		}
-		for i := range refFired {
-			if refFired[i] != poolFired[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestPooledZeroAllocsSteadyState pins the engine-level allocation

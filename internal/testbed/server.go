@@ -30,18 +30,24 @@ type execution struct {
 	sprintStart float64
 	pending     bool // timeout fired while queued: sprint at dispatch
 
-	departEv  *sim.Event
-	timeoutEv *sim.Event
+	departEv  sim.Handle
+	timeoutEv sim.Handle
 }
 
 // server wires Figure 3 together: query generator (arrival events), FIFO
 // queue manager with timeout interrupts and budget accounting, and an
-// execution engine with a fixed number of slots.
+// execution engine with a fixed number of slots. Timeout and departure
+// events carry the query id, which indexes both execs and records.
 type server struct {
 	cfg  Config
-	eng  *sim.Engine
+	eng  *sim.PooledEngine
 	rng  *dist.RNG
 	acct *sprint.Accountant
+
+	cbArrive  sim.CallbackID
+	cbTimeout sim.CallbackID
+	cbDepart  sim.CallbackID
+	cbBudget  sim.CallbackID
 
 	interarrival dist.Dist
 	serviceDists map[*workload.Class]dist.Dist
@@ -52,8 +58,9 @@ type server struct {
 	runningEx []*execution
 	freeSlots int
 
-	budgetEv *sim.Event
+	budgetEv sim.Handle
 
+	execs    []execution
 	records  []QueryRecord
 	arrived  int
 	departed int
@@ -68,7 +75,7 @@ func newServer(cfg Config) *server {
 	}
 	s := &server{
 		cfg:          cfg,
-		eng:          sim.New(),
+		eng:          sim.NewPooled(),
 		rng:          dist.NewRNG(cfg.Seed),
 		interarrival: interarrival,
 		serviceDists: make(map[*workload.Class]dist.Dist),
@@ -92,7 +99,12 @@ func newServer(cfg Config) *server {
 		}
 		s.curves[c] = s.buildCurve(c)
 	}
+	s.execs = make([]execution, s.total)
 	s.records = make([]QueryRecord, s.total)
+	s.cbArrive = s.eng.Register(func(int32) { s.arrive() })
+	s.cbTimeout = s.eng.Register(func(id int32) { s.onTimeout(&s.execs[id]) })
+	s.cbDepart = s.eng.Register(func(id int32) { s.depart(&s.execs[id]) })
+	s.cbBudget = s.eng.Register(func(int32) { s.onBudgetEmpty() })
 	return s
 }
 
@@ -118,7 +130,7 @@ func (s *server) run() {
 	if s.total == 0 {
 		return
 	}
-	s.eng.Schedule(s.interarrival.Sample(s.rng), s.arrive)
+	s.eng.Schedule(s.interarrival.Sample(s.rng), s.cbArrive, 0)
 	s.eng.RunAll()
 }
 
@@ -152,13 +164,14 @@ func (s *server) arrive() {
 		ServiceTime: s.serviceDists[class].Sample(s.rng),
 		Warm:        id < s.cfg.Warmup,
 	}
-	e := &execution{rec: rec, class: class, curve: s.curves[class]}
+	e := &s.execs[id]
+	*e = execution{rec: rec, class: class, curve: s.curves[class]}
 	s.queue = append(s.queue, e)
 	if p := s.cfg.Policy; !p.SprintingDisabled() {
-		e.timeoutEv = s.eng.Schedule(now+p.Timeout, func() { s.onTimeout(e) })
+		e.timeoutEv = s.eng.Schedule(now+p.Timeout, s.cbTimeout, int32(id))
 	}
 	if s.arrived < s.total {
-		s.eng.After(s.interarrival.Sample(s.rng), s.arrive)
+		s.eng.After(s.interarrival.Sample(s.rng), s.cbArrive, 0)
 	}
 	s.dispatch()
 }
@@ -178,7 +191,7 @@ func (s *server) dispatch() {
 		if e.pending && s.acct.CanSprint(now) {
 			s.engageSprint(e)
 		} else {
-			e.departEv = s.eng.Schedule(now+e.rec.ServiceTime, func() { s.depart(e) })
+			e.departEv = s.eng.Schedule(now+e.rec.ServiceTime, s.cbDepart, int32(e.rec.ID))
 		}
 	}
 }
@@ -227,10 +240,8 @@ func (s *server) engageSprint(e *execution) {
 	e.rec.Sprinted = true
 	e.rec.SprintTau = e.tau
 	remaining := e.toggle + e.stretch*e.curve.SprintedRemaining(e.rec.ServiceTime, e.tau)
-	if e.departEv != nil {
-		s.eng.Cancel(e.departEv)
-	}
-	e.departEv = s.eng.Schedule(now+remaining, func() { s.depart(e) })
+	s.eng.Cancel(e.departEv)
+	e.departEv = s.eng.Schedule(now+remaining, s.cbDepart, int32(e.rec.ID))
 	s.replanBudget()
 }
 
@@ -258,22 +269,18 @@ func (s *server) sprintStretch(e *execution) float64 {
 // accountant's current time-to-empty horizon.
 func (s *server) replanBudget() {
 	now := s.eng.Now()
-	if s.budgetEv != nil {
-		s.eng.Cancel(s.budgetEv)
-		s.budgetEv = nil
-	}
+	s.eng.Cancel(s.budgetEv)
 	tte := s.acct.TimeToEmpty(now)
 	if math.IsInf(tte, 1) {
 		return
 	}
-	s.budgetEv = s.eng.Schedule(now+tte, s.onBudgetEmpty)
+	s.budgetEv = s.eng.Schedule(now+tte, s.cbBudget, 0)
 }
 
 // onBudgetEmpty force-stops every active sprint: remaining work continues
 // at the sustained rate (Figure 1's "sprinting budget is exhausted").
 func (s *server) onBudgetEmpty() {
 	now := s.eng.Now()
-	s.budgetEv = nil
 	for _, e := range s.runningEx {
 		if !e.sprint {
 			continue
@@ -306,10 +313,7 @@ func (s *server) depart(e *execution) {
 		s.stopSprint(e, now)
 		s.replanBudget()
 	}
-	if e.timeoutEv != nil {
-		s.eng.Cancel(e.timeoutEv)
-		e.timeoutEv = nil
-	}
+	s.eng.Cancel(e.timeoutEv)
 	for i, re := range s.runningEx {
 		if re == e {
 			s.runningEx = append(s.runningEx[:i], s.runningEx[i+1:]...)

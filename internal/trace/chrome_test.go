@@ -25,21 +25,6 @@ func sampleSpans() []obs.SpanData {
 	}
 }
 
-func TestSaveLoadSpans(t *testing.T) {
-	spans := sampleSpans()
-	path := filepath.Join(t.TempDir(), "sub", "spans.jsonl")
-	if err := SaveSpans(path, spans); err != nil {
-		t.Fatalf("SaveSpans: %v", err)
-	}
-	back, err := LoadSpans(path)
-	if err != nil {
-		t.Fatalf("LoadSpans: %v", err)
-	}
-	if !reflect.DeepEqual(back, spans) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", back, spans)
-	}
-}
-
 func TestChromeTraceRoundTrip(t *testing.T) {
 	spans := sampleSpans()
 	var buf bytes.Buffer

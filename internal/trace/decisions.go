@@ -22,6 +22,22 @@ func SaveDecisions(path string, recs []online.DecisionRecord) error {
 	return w.Close()
 }
 
+// line appends v as one JSON line.
+func (w *EventWriter) line(v any) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return
+	}
+	data, err := json.Marshal(v)
+	if err == nil {
+		_, err = w.bw.Write(append(data, '\n'))
+	}
+	if err != nil {
+		w.err = err
+	}
+}
+
 // LoadDecisions reads a JSONL decision log back into records.
 func LoadDecisions(r io.Reader) ([]online.DecisionRecord, error) {
 	dec := json.NewDecoder(r)

@@ -63,3 +63,43 @@ func FuzzLoadEvents(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoadDataset feeds arbitrary bytes to LoadDataset: it must never
+// panic, and any dataset it accepts must be one the queue simulator can
+// replay, with positive rates and positive service samples.
+func FuzzLoadDataset(f *testing.F) {
+	seedPath := filepath.Join(f.TempDir(), "seed.json")
+	if err := SaveDataset(seedPath, sampleDataset()); err != nil {
+		f.Fatal(err)
+	}
+	seedBytes, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seedBytes)
+	f.Add([]byte(`{"service_rate":0.01,"marginal_rate":0.02,"service_samples":[-70,71,69]}`))
+	f.Add([]byte(`{"service_rate":0.01,"marginal_rate":0.02,"service_samples":[0,0,0]}`))
+	f.Add([]byte(`{"service_rate":0.01,"marginal_rate":-0.03,"service_samples":[70]}`))
+	f.Add([]byte(`{"service_rate":1e999,"marginal_rate":1,"service_samples":[1]}`))
+	f.Add([]byte("null"))
+	f.Add([]byte(""))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "ds.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Skip() // tmpfs hiccup, nothing to test
+		}
+		ds, err := LoadDataset(path) // must never panic
+		if err != nil {
+			return
+		}
+		if !(ds.ServiceRate > 0) || !(ds.MarginalRate > 0) {
+			t.Fatalf("accepted rates mu=%v mum=%v", ds.ServiceRate, ds.MarginalRate)
+		}
+		for i, x := range ds.ServiceSamples {
+			if !(x > 0) {
+				t.Fatalf("accepted service sample %d = %v", i, x)
+			}
+		}
+	})
+}

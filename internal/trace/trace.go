@@ -1,15 +1,15 @@
-// Package trace persists profiling datasets and calibration records as
-// JSON so profiling (hours of simulated replay) and model training can be
-// separated across tool invocations — the workflow of cmd/sprintctl.
+// Package trace persists profiling datasets as JSON so profiling (hours
+// of simulated replay) and model training can be separated across tool
+// invocations — the workflow of cmd/sprintctl.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
-	"mdsprint/internal/calib"
 	"mdsprint/internal/profiler"
 )
 
@@ -18,31 +18,30 @@ func SaveDataset(path string, ds *profiler.Dataset) error {
 	return writeJSON(path, ds)
 }
 
-// LoadDataset reads a dataset written by SaveDataset.
+// LoadDataset reads a dataset written by SaveDataset. It rejects a
+// dataset the queue simulator cannot replay: both rates and every service
+// sample must be positive and finite.
 func LoadDataset(path string) (*profiler.Dataset, error) {
 	var ds profiler.Dataset
 	if err := readJSON(path, &ds); err != nil {
 		return nil, err
 	}
-	if ds.ServiceRate <= 0 || len(ds.ServiceSamples) == 0 {
+	if !positive(ds.ServiceRate) || len(ds.ServiceSamples) == 0 {
 		return nil, fmt.Errorf("trace: %s is not a valid dataset", path)
+	}
+	if !positive(ds.MarginalRate) {
+		return nil, fmt.Errorf("trace: %s: marginal rate %v must be positive", path, ds.MarginalRate)
+	}
+	for i, x := range ds.ServiceSamples {
+		if !positive(x) {
+			return nil, fmt.Errorf("trace: %s: service sample %d is %v, must be positive", path, i, x)
+		}
 	}
 	return &ds, nil
 }
 
-// SaveRecords writes calibration records to path.
-func SaveRecords(path string, recs []calib.Record) error {
-	return writeJSON(path, recs)
-}
-
-// LoadRecords reads calibration records written by SaveRecords.
-func LoadRecords(path string) ([]calib.Record, error) {
-	var recs []calib.Record
-	if err := readJSON(path, &recs); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
+// positive reports whether x is positive and finite.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 func writeJSON(path string, v any) error {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"mdsprint/internal/calib"
 	"mdsprint/internal/dist"
+	"mdsprint/internal/mech"
+	"mdsprint/internal/obs"
 	"mdsprint/internal/profiler"
+	"mdsprint/internal/workload"
 )
 
 func sampleDataset() *profiler.Dataset {
@@ -69,19 +72,6 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestLoadRecordsErrors(t *testing.T) {
-	if _, err := LoadRecords(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing records file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := writeJSON(bad, "not a record list"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadRecords(bad); err == nil {
-		t.Fatal("malformed records accepted")
-	}
-}
-
 func TestWriteJSONErrors(t *testing.T) {
 	// Unserialisable value.
 	if err := writeJSON(filepath.Join(t.TempDir(), "x.json"), func() {}); err == nil {
@@ -98,22 +88,56 @@ func TestWriteJSONErrors(t *testing.T) {
 	}
 }
 
-func TestRecordsRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "recs.json")
-	recs := []calib.Record{
-		{
-			ArrivalRate: 0.01, ServiceRate: 0.0141, MarginalRate: 0.0205,
-			EffectiveRate: 0.0190, ObservedRT: 130, SimRT: 131,
-		},
+// TestLoadDatasetRejectsNonPositiveValues covers datasets that parse but
+// that the queue simulator cannot replay: a negative service sample used
+// to load and then panic mid-simulation, all-zero samples predicted a
+// mean response time of zero, and a negative marginal rate failed only
+// later, inside the simulator.
+func TestLoadDatasetRejectsNonPositiveValues(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*profiler.Dataset)
+		want string
+	}{
+		{"negative-sample", func(ds *profiler.Dataset) { ds.ServiceSamples = []float64{-70, 71.5, 69.8} }, "service sample 0"},
+		{"zero-samples", func(ds *profiler.Dataset) { ds.ServiceSamples = []float64{0, 0, 0} }, "service sample 0"},
+		{"negative-marginal-rate", func(ds *profiler.Dataset) { ds.MarginalRate = -0.03 }, "marginal rate"},
 	}
-	if err := SaveRecords(path, recs); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := sampleDataset()
+			tc.edit(ds)
+			path := filepath.Join(t.TempDir(), "ds.json")
+			if err := SaveDataset(path, ds); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadDataset(path)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadDataset error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
-	got, err := LoadRecords(path)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestLoadDatasetAcceptsProfiledDatasets checks that the validation does
+// not reject what the profiler writes: every catalog workload and mix
+// under every mechanism.
+func TestLoadDatasetAcceptsProfiledDatasets(t *testing.T) {
+	mixes := []workload.Mix{workload.MixI(), workload.MixII(), workload.MixJacobiMem()}
+	for _, c := range workload.Catalog() {
+		mixes = append(mixes, workload.SingleClass(c))
 	}
-	if len(got) != 1 || got[0].EffectiveRate != 0.0190 {
-		t.Fatalf("records lost: %+v", got)
+	dir := t.TempDir()
+	for _, mix := range mixes {
+		for _, m := range mech.All() {
+			p := profiler.Profiler{Mix: mix, Mechanism: m, QueriesPerRun: 200, Seed: 3, Workers: 1, Metrics: obs.NewRegistry()}
+			path := filepath.Join(dir, mix.Name+"-"+m.Name()+".json")
+			if err := SaveDataset(path, p.Profile(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadDataset(path); err != nil {
+				t.Errorf("%s/%s: %v", mix.Name, m.Name(), err)
+			}
+		}
 	}
 }
