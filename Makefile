@@ -97,6 +97,7 @@ race:
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDist$$' -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzTailSummary$$' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadEvents$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeTraceExport$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadDataset$$' -fuzztime 10s ./internal/trace
@@ -133,8 +134,8 @@ bench-obs:
 	MDSPRINT_BENCH_OBS=1 $(GO) test -count=1 -run 'TestObsOverheadBudget' .
 
 # alloc-check runs the testing.AllocsPerRun budget tests that pin the
-# simulator hot path at zero steady-state allocations (and the ANN
-# training loop at zero allocations per epoch). They self-skip
+# simulator hot path and serial Predict at zero steady-state allocations
+# (and the ANN training loop at zero allocations per epoch). They self-skip
 # under -race (instrumentation allocates), so the merge gate runs them
 # here without it; -count=1 defeats the test cache.
 .PHONY: alloc-check
@@ -151,12 +152,13 @@ bench-tier:
 	MDSPRINT_BENCH_TIER=1 $(GO) test -count=1 -run 'TestTierSpeedupBudget' ./internal/tier/
 
 # bench-sim measures the pooled simulator hot path against the retired
-# heap-and-closure reference engine (Run, RunReps) plus the calibration
+# heap-and-closure reference engine (Run, RunReps), the serial prediction
+# primitive at the Quick and Full shapes (Predict), plus the calibration
 # probe that drives it (SimulateRT). Baseline in BENCH_sim.json; the
 # pooled RunReps must stay >=2x faster than the reference.
 .PHONY: bench-sim
 bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkSim(Run|RunInto|RunReference|RunReps|RunRepsReference|RunRepsSRPT)$$' -benchmem ./internal/queuesim/
+	$(GO) test -run '^$$' -bench 'BenchmarkSim(Run|RunInto|RunReference|RunReps|RunRepsReference|RunRepsSRPT)$$|BenchmarkPredict$$' -benchmem ./internal/queuesim/
 	$(GO) test -run '^$$' -bench 'SimulateRT' -benchmem ./internal/calib/
 
 # bench-sweep measures the policy-sweep engine: serial vs sharded

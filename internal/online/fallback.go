@@ -164,8 +164,9 @@ func (f *FallbackController) LastGoodTimeout() (float64, bool) {
 // TimeoutCtx returns the sprint timeout for the estimated arrival rate,
 // routed through the level currently in force. A failing search is
 // itself a health signal: the controller demotes and retries down the
-// chain before giving up. The selection is one "online.decide" span,
-// with one "online.tier" child per tier attempt.
+// chain before giving up. A rate that is not finite and positive is
+// refused with ErrInvalidRate before any tier runs. The selection is one
+// "online.decide" span, with one "online.tier" child per tier attempt.
 func (f *FallbackController) TimeoutCtx(ctx context.Context, rate float64) (float64, error) {
 	sp := obs.StartSpanCtx(ctx, "online.decide")
 	to, err := f.decide(sp, rate)
@@ -175,8 +176,12 @@ func (f *FallbackController) TimeoutCtx(ctx context.Context, rate float64) (floa
 }
 
 // decide is the selection body: route through the level in force,
-// demoting on failure, then record the decision's provenance.
+// demoting on failure, then record the decision's provenance. An
+// invalid rate is refused first, so it cannot pass for a failing tier.
 func (f *FallbackController) decide(sp *obs.Span, rate float64) (float64, error) {
+	if err := checkRate(rate); err != nil {
+		return 0, err
+	}
 	clk := obs.ClockOr(f.cfg.Clock)
 	start := clk.Now()
 	startLevel := f.level

@@ -2,7 +2,9 @@ package online
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"mdsprint/internal/core"
@@ -99,6 +101,40 @@ func TestTimeoutDemotesOnSearchFailure(t *testing.T) {
 	}
 	if d, _ := fc.Counts(); d != 1 {
 		t.Errorf("demotions = %d, want 1", d)
+	}
+}
+
+// TestTimeoutRejectsInvalidRates is the regression test for invalid
+// rates demoting a healthy controller: each of {-1, 0, NaN, +Inf} must
+// be refused with ErrInvalidRate, leaving the level, the demotion count
+// and the ledger exactly as they were.
+func TestTimeoutRejectsInvalidRates(t *testing.T) {
+	cfg := fallbackConfig(flatModel("primary", 8), flatModel("fallback", 8), obs.NewRegistry())
+	cfg.Ledger = NewDecisionLedger()
+	fc, err := NewFallbackController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fc.TimeoutCtx(context.Background(), 1.0); err != nil {
+		t.Fatal(err)
+	}
+	records, chain := cfg.Ledger.Len(), cfg.Ledger.Chain()
+	for _, rate := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		if _, err := fc.TimeoutCtx(context.Background(), rate); !errors.Is(err, ErrInvalidRate) {
+			t.Errorf("rate %v: err = %v, want ErrInvalidRate", rate, err)
+		}
+		if fc.Level() != LevelHybrid {
+			t.Errorf("rate %v: level %s, want hybrid", rate, fc.Level())
+		}
+		if d, _ := fc.Counts(); d != 0 {
+			t.Errorf("rate %v: demotions = %d, want 0", rate, d)
+		}
+		if cfg.Ledger.Len() != records || cfg.Ledger.Chain() != chain {
+			t.Errorf("rate %v: ledger moved to %d records, chain %s", rate, cfg.Ledger.Len(), cfg.Ledger.Chain())
+		}
+		if _, err := fc.primary.Timeout(rate); !errors.Is(err, ErrInvalidRate) {
+			t.Errorf("rate %v: Controller.Timeout err = %v, want ErrInvalidRate", rate, err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package online
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -16,6 +17,21 @@ import (
 	"mdsprint/internal/obs"
 	"mdsprint/internal/profiler"
 )
+
+// ErrInvalidRate reports an arrival-rate estimate that is not a finite
+// positive number. It is the caller's input error, not a model failure:
+// no search runs, and a FallbackController neither demotes nor records a
+// decision.
+var ErrInvalidRate = errors.New("online: rate estimate must be finite and positive")
+
+// checkRate returns an error wrapping ErrInvalidRate unless rate is
+// finite and positive.
+func checkRate(rate float64) error {
+	if rate > 0 && !math.IsInf(rate, 1) {
+		return nil
+	}
+	return fmt.Errorf("%w, got %v", ErrInvalidRate, rate)
+}
 
 // RateEstimator estimates an arrival rate from observed arrival
 // timestamps over a sliding window, optionally smoothed with an EWMA.
@@ -208,8 +224,8 @@ func (c *Controller) Timeout(estimatedRate float64) (float64, error) {
 // prediction spans nest under the decision instead of floating as
 // roots.
 func (c *Controller) timeout(ctx context.Context, estimatedRate float64) (float64, tierInfo, error) {
-	if estimatedRate <= 0 {
-		return 0, tierInfo{}, fmt.Errorf("online: non-positive rate estimate %v", estimatedRate)
+	if err := checkRate(estimatedRate); err != nil {
+		return 0, tierInfo{}, err
 	}
 	thr := c.RetuneThreshold
 	if thr <= 0 {

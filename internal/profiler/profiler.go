@@ -254,13 +254,13 @@ func (p *Profiler) RunCondition(cond Condition, seed uint64) (Observation, float
 		total += len(res.Queries)
 		dur += res.Duration
 	}
-	sum := stats.Summarize(rts)
+	mean, p95, p99 := stats.TailSummary(rts)
 	return Observation{
 		Cond:         cond,
 		ArrivalRate:  cond.Utilization * pp.sustainedRate(),
-		MeanRT:       sum.Mean,
-		P95RT:        sum.P95,
-		P99RT:        sum.P99,
+		MeanRT:       mean,
+		P95RT:        p95,
+		P99RT:        p99,
 		SprintedFrac: float64(sprinted) / float64(total),
 	}, dur
 }

@@ -118,3 +118,27 @@ func BenchmarkSimRunRepsSRPT(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPredict measures the serial prediction primitive at the
+// experiment scales' simulation shapes (Quick: 2000 queries x 2 reps;
+// Full: 4000 x 3): the replications plus the pooled mean, P95 and P99.
+// The seed varies per iteration, as it does across a sweep's tasks.
+func BenchmarkPredict(b *testing.B) {
+	for _, shape := range []struct {
+		name          string
+		queries, reps int
+	}{{"quick", 2000, 2}, {"full", 4000, 3}} {
+		b.Run(shape.name, func(b *testing.B) {
+			p := benchParams()
+			p.NumQueries = shape.queries
+			p.Warmup = shape.queries / 10
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Seed = uint64(i)*seedStride + 1
+				if _, err := Predict(p, shape.reps, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -459,6 +459,11 @@ type Runner struct {
 
 	res  *Result
 	mres *MultiResult
+
+	// Predict's serial scratch: one replication's result and the
+	// replications' pooled response times.
+	predRes Result
+	pooled  []float64
 }
 
 // NewRunner returns an empty reusable runner.
@@ -1105,7 +1110,8 @@ type Prediction struct {
 // This is the prediction primitive behind Figure 11's throughput study.
 // Replications are sharded in contiguous chunks, one reusable Runner per
 // worker, and each replication's seed depends only on its index — so the
-// pooled output is bit-identical regardless of worker count.
+// pooled output is bit-identical regardless of worker count. With one
+// worker a warmed call allocates nothing.
 func Predict(p Params, reps, workers int) (Prediction, error) {
 	if err := p.validate(); err != nil {
 		return Prediction{}, err
@@ -1119,6 +1125,19 @@ func Predict(p Params, reps, workers int) (Prediction, error) {
 	if workers > reps {
 		workers = reps
 	}
+	if workers == 1 {
+		r := getRunner()
+		defer putRunner(r)
+		return r.predict(p, reps)
+	}
+	return predictParallel(p, reps, workers)
+}
+
+// predictParallel is Predict's parallel path: contiguous chunks of
+// replications on one pooled Runner per worker, pooled in replication
+// order. It lives apart from Predict because its closures capture p,
+// which would move p to the heap on the serial path as well.
+func predictParallel(p Params, reps, workers int) (Prediction, error) {
 	all := make([][]float64, reps)
 	runRep := func(r *Runner, i int) error {
 		pi := p
@@ -1130,59 +1149,72 @@ func Predict(p Params, reps, workers int) (Prediction, error) {
 		all[i] = res.RTs
 		return nil
 	}
-	if workers == 1 {
-		r := getRunner()
-		for i := 0; i < reps; i++ {
-			if err := runRep(r, i); err != nil {
-				putRunner(r)
-				return Prediction{}, err
-			}
+	chunk := (reps + workers - 1) / workers
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := lo + chunk
+		if hi > reps {
+			hi = reps
 		}
-		putRunner(r)
-	} else {
-		chunk := (reps + workers - 1) / workers
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > reps {
-				hi = reps
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			//lint:ignore ctxleak bounded fork-join: replications always complete and are joined before Predict returns
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				r := getRunner()
-				defer putRunner(r)
-				for i := lo; i < hi; i++ {
-					if err := runRep(r, i); err != nil {
-						errs[w] = err
-						return
-					}
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		//lint:ignore ctxleak bounded fork-join: replications always complete and are joined before Predict returns
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			r := getRunner()
+			defer putRunner(r)
+			for i := lo; i < hi; i++ {
+				if err := runRep(r, i); err != nil {
+					errs[w] = err
+					return
 				}
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return Prediction{}, err
 			}
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return Prediction{}, err
 		}
 	}
 	pooled := make([]float64, 0, reps*p.NumQueries)
 	for _, rts := range all {
 		pooled = append(pooled, rts...)
 	}
-	sum := stats.Summarize(pooled)
+	return pooledPrediction(pooled, reps), nil
+}
+
+// predict is Predict's serial body: the replications run back to back on
+// r with RunRepsInto's seeds, into one Result and one pooled RT buffer
+// that r owns, so a warmed Runner predicts without allocating.
+//
+//sprint:hotpath steady-state serial prediction must not allocate (TestPredictZeroAllocs)
+func (r *Runner) predict(p Params, reps int) (Prediction, error) {
+	r.pooled = sizedFloats(r.pooled, reps*p.NumQueries)
+	for i := 0; i < reps; i++ {
+		pi := p
+		pi.Seed = repSeed(p.Seed, i)
+		if err := r.RunInto(pi, &r.predRes); err != nil {
+			return Prediction{}, err
+		}
+		r.pooled = append(r.pooled, r.predRes.RTs...)
+	}
+	return pooledPrediction(r.pooled, reps), nil
+}
+
+// pooledPrediction summarises the replications' response times, pooled
+// in replication order; it reorders pooled.
+func pooledPrediction(pooled []float64, reps int) Prediction {
+	mean, p95, p99 := stats.TailSummary(pooled)
 	return Prediction{
-		MeanRT:           sum.Mean,
-		P95RT:            sum.P95,
-		P99RT:            sum.P99,
+		MeanRT:           mean,
+		P95RT:            p95,
+		P99RT:            p99,
 		Replications:     reps,
 		QueriesSimulated: len(pooled),
-	}, nil
+	}
 }

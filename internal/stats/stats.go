@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -213,6 +214,117 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g p50=%.4g p99=%.4g max=%.4g",
 		s.N, s.Mean, s.Std, s.Min, s.Median, s.P99, s.Max)
+}
+
+// TailSummary returns Summarize(xs)'s Mean, P95 and P99, bit for bit,
+// without allocating and, short of adversarial input, without sorting:
+// the mean is summed in xs's order, and each percentile interpolates
+// between the same two order statistics quantileSorted would read, found
+// by selection. It reorders xs in place. Empty input yields three NaNs.
+func TailSummary(xs []float64) (mean, p95, p99 float64) {
+	if len(xs) == 0 {
+		nan := math.NaN()
+		return nan, nan, nan
+	}
+	mean = Mean(xs)
+	// sort.Float64s orders NaNs first. A NaN anywhere makes the sum NaN,
+	// so only then is the pass that moves them to the front needed;
+	// selection then runs over the comparable values behind them.
+	nans := 0
+	if math.IsNaN(mean) {
+		for i, x := range xs {
+			if math.IsNaN(x) {
+				xs[i], xs[nans] = xs[nans], x
+				nans++
+			}
+		}
+	}
+	p95, lo := quantileSelect(xs, nans, 0, 0.95)
+	p99, _ = quantileSelect(xs, nans, lo, 0.99)
+	return mean, p95, p99
+}
+
+// quantileSelect is quantileSorted(sorted(xs), q) for xs whose first
+// nans elements are its NaNs and whose suffix xs[from:] already holds
+// exactly sorted[from:] in some order. It selects sorted[lo] into xs[lo]
+// and returns the quantile with lo, so that a larger q may continue from
+// there.
+func quantileSelect(xs []float64, nans, from int, q float64) (float64, int) {
+	n := len(xs)
+	if n == 1 {
+		return xs[0], 0
+	}
+	pos := q * float64(n-1)
+	lo := int(pos)
+	if lo >= n-1 {
+		lo = n - 1
+	}
+	if lo >= nans {
+		selectKth(xs, max(from, nans), n-1, lo)
+	}
+	if lo == n-1 {
+		return xs[lo], lo
+	}
+	// Selection left xs[lo+1:] holding sorted[lo+1:], so sorted[lo+1] is
+	// its minimum (a NaN when lo+1 still falls in the NaN prefix).
+	next := xs[lo+1]
+	for _, x := range xs[lo+2:] {
+		if x < next {
+			next = x
+		}
+	}
+	frac := pos - float64(lo)
+	return xs[lo]*(1-frac) + next*frac, lo
+}
+
+// selectKth reorders the NaN-free range xs[l:r+1] so that xs[k] holds
+// the value sorting the range would put there, with nothing greater
+// before k and nothing smaller after it. It is quickselect with a
+// median-of-three pivot and a Hoare partition, which splits runs of
+// equal values evenly; a range that resists partitioning is sorted,
+// which bounds the worst case at O(n log n).
+func selectKth(xs []float64, l, r, k int) {
+	budget := 8 * (r - l + 1)
+	for r > l {
+		if budget -= r - l + 1; budget < 0 {
+			slices.Sort(xs[l : r+1])
+			return
+		}
+		m := l + (r-l)/2
+		if xs[m] < xs[l] {
+			xs[m], xs[l] = xs[l], xs[m]
+		}
+		if xs[r] < xs[l] {
+			xs[r], xs[l] = xs[l], xs[r]
+		}
+		if xs[r] < xs[m] {
+			xs[r], xs[m] = xs[m], xs[r]
+		}
+		pivot := xs[m]
+		i, j := l, r
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[l:j+1] <= pivot <= xs[i:r+1], and xs[j+1:i] == pivot.
+		switch {
+		case k <= j:
+			r = j
+		case k >= i:
+			l = i
+		default:
+			return
+		}
+	}
 }
 
 // CDFPoint is one step of an empirical cumulative distribution function.
